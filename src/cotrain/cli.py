@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig, write_resolved
 from .data import DatasetRegistry
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .losses import top_projection_pairs
 from .tensor_io import load_arrays, save_arrays
 from .trainer import (
@@ -142,6 +142,12 @@ def _run_training(cfg: RunConfig, out: Path, mode: Optional[str] = None, seed: O
     metrics_path = out / "metrics.ndjson"
     with open(metrics_path, "w") as metrics:
 
+        def write_evals(step, results):
+            for spec in suite.specs:
+                r = results[spec.id]
+                record = {"kind": "eval", "step": step, "dataset": spec.name, "top1": r.top1, "top5": r.top5}
+                metrics.write(json.dumps(record) + "\n")
+
         def on_report(step, lr, report):
             record = {
                 "kind": "step",
@@ -157,41 +163,25 @@ def _run_training(cfg: RunConfig, out: Path, mode: Optional[str] = None, seed: O
             metrics.write(json.dumps(record) + "\n")
             done = step + 1
             if eval_every and (done % eval_every == 0) and done < train_cfg.steps:
-                for spec in suite.specs:
-                    r = evaluate(state.model, suite, batch_size=eval_batch)[spec.id]
-                    metrics.write(
-                        json.dumps(
-                            {
-                                "kind": "eval",
-                                "step": done,
-                                "dataset": spec.name,
-                                "top1": r.top1,
-                                "top5": r.top5,
-                            }
-                        )
-                        + "\n"
-                    )
+                write_evals(done, evaluate(state.model, suite, batch_size=eval_batch))
             if ckpt_every and (done % ckpt_every == 0) and done < train_cfg.steps:
                 save_checkpoint(state, out / f"checkpoint_{done}.mttn")
 
         train_steps(state, train_cfg.steps, on_report)
         results = evaluate(state.model, suite, batch_size=eval_batch)
-        for spec in suite.specs:
-            r = results[spec.id]
-            metrics.write(
-                json.dumps(
-                    {
-                        "kind": "eval",
-                        "step": state.step,
-                        "dataset": spec.name,
-                        "top1": r.top1,
-                        "top5": r.top5,
-                    }
-                )
-                + "\n"
-            )
+        write_evals(state.step, results)
     save_checkpoint(state, out / f"checkpoint_{state.step}.mttn")
     return state, results
+
+
+def _load_checkpoint(state: TrainState, path) -> None:
+    """Load for a command: a missing, truncated or mismatched checkpoint is a usage error."""
+    try:
+        load_checkpoint(state, path)
+    except OSError as err:
+        raise ConfigError(f"{err.filename or path}: {err.strerror or err}") from None
+    except (FormatError, ShapeError, json.JSONDecodeError) as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def cmd_train(args) -> int:
@@ -224,7 +214,7 @@ def cmd_eval(args) -> int:
     state = TrainState.create(
         cfg.backbone_config(), suite, cfg.train_config(), cfg.loss_config(), config_hash=cfg.hash()
     )
-    load_checkpoint(state, args.checkpoint)
+    _load_checkpoint(state, args.checkpoint)
     results = evaluate(state.model, suite, batch_size=cfg.get("report", "eval_batch"))
     for spec in suite.specs:
         r = results[spec.id]
@@ -295,7 +285,7 @@ def cmd_inspect_projections(args) -> int:
     )
     if state.model.projections is None:
         raise ConfigError("this mode trains no projection bank; nothing to inspect")
-    load_checkpoint(state, args.checkpoint)
+    _load_checkpoint(state, args.checkpoint)
     bank = state.model.projections
     registry = DatasetRegistry(suite.specs)
 

@@ -6,7 +6,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 
@@ -99,6 +99,9 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: Mapping[str, np.ndarray], t: int) -> None:
+        missing = [k for name in self.params for k in (f"opt.m.{name}", f"opt.v.{name}") if k not in arrays]
+        if missing:
+            raise ShapeError(f"state is missing {len(missing)} optimizer moment arrays, first '{missing[0]}'")
         for name in self.params:
             self.m[name] = arrays[f"opt.m.{name}"].astype(self.m[name].dtype, copy=True)
             self.v[name] = arrays[f"opt.v.{name}"].astype(self.v[name].dtype, copy=True)

@@ -390,12 +390,23 @@ def relu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, ``x * Phi(x)`` with the erf form."""
     x = a.data
-    cdf = 0.5 * (1.0 + _special.erf(x / np.sqrt(2.0, dtype=x.dtype)))
+    # cdf = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
+    cdf = x / np.sqrt(2.0, dtype=x.dtype)
+    _special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi, dtype=x.dtype)
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer.
+        d = -0.5 * x
+        d *= x
+        np.exp(d, out=d)
+        d /= np.sqrt(2.0 * np.pi, dtype=x.dtype)
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
 
     return _from_op(data, (a,), backward, "gelu", 8 * a.size)
 
@@ -529,13 +540,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        return ((g - inner) * data,)
+        ga = g - inner
+        ga *= data
+        return (ga,)
 
     return _from_op(data, (a,), backward, "softmax", 5 * a.size)
 
@@ -560,11 +573,16 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm scale/shift must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    mean = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mean) * inv
-    data = gamma.data * xhat + beta.data
+    # One mean and one centring; the variance divides as ``ndarray.var`` does,
+    # so the bits equal ``a.data.var(axis=-1)``.
+    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    np.true_divide(var, np.intp(d), out=var, casting="unsafe")
+    var += eps
+    inv = 1.0 / np.sqrt(var, out=var)
+    xhat *= inv
+    data = gamma.data * xhat
+    data += beta.data
     gamma_data = gamma.data
     lead = tuple(range(a.ndim - 1))
 
@@ -590,7 +608,13 @@ def conv3d(
     stride: tuple[int, int, int] = (1, 1, 1),
     padding: tuple[int, int, int] = (0, 0, 0),
 ) -> Tensor:
-    """3-d convolution over ``(B, T, H, W, C_in)`` with kernel ``(kt, kh, kw, C_in, C_out)``."""
+    """3-d convolution over ``(B, T, H, W, C_in)`` with kernel ``(kt, kh, kw, C_in, C_out)``.
+
+    When kernel == stride, padding is 0 and the windows tile the input exactly
+    (the patch embed and every pool conv), im2col and its inverse are a reshape
+    and a transpose of ``x`` around one GEMM each way; other shapes take the
+    general sliding-window path.
+    """
     if x.ndim != 5:
         raise ShapeError(f"conv3d input must be 5-d (B,T,H,W,C), got {x.shape}")
     if kernel.ndim != 5:
@@ -616,22 +640,33 @@ def conv3d(
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
 
-    xp = np.pad(x.data, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0))) if pt or ph or pw else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
-    win = win[:, ::st, ::sh, ::sw]  # (B, to, ho, wo, Cin, kt, kh, kw)
-    win = np.ascontiguousarray(win.transpose(0, 1, 2, 3, 5, 6, 7, 4))
-    win_mat = win.reshape(b * to * ho * wo, kt * kh * kw * cin)
     k_mat = kernel.data.reshape(kt * kh * kw * cin, cout)
+    m = b * to * ho * wo
+    tiled = (kt, kh, kw) == (st, sh, sw) and not (pt or ph or pw) and (to * kt, ho * kh, wo * kw) == (t, h, w)
+    if tiled:
+        # Windows tile the input: im2col is a reshape + transpose of x (a view at unit stride).
+        tiles = x.data.reshape(b, to, kt, ho, kh, wo, kw, cin).transpose(0, 1, 3, 5, 2, 4, 6, 7)
+        win_mat = np.ascontiguousarray(tiles.reshape(m, kt * kh * kw * cin))
+    else:
+        xp = np.pad(x.data, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0))) if pt or ph or pw else x.data
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
+        win = win[:, ::st, ::sh, ::sw]  # (B, to, ho, wo, Cin, kt, kh, kw)
+        win = np.ascontiguousarray(win.transpose(0, 1, 2, 3, 5, 6, 7, 4))
+        win_mat = win.reshape(m, kt * kh * kw * cin)
     data = (win_mat @ k_mat).reshape(b, to, ho, wo, cout)
     flops = 2 * data.size * kt * kh * kw * cin
     k_data = kernel.data
 
     def backward(g):
         gx = gk = None
-        g_mat = g.reshape(b * to * ho * wo, cout)
+        g_mat = g.reshape(m, cout)
         if kernel.requires_grad:
             gk = (win_mat.T @ g_mat).reshape(kt, kh, kw, cin, cout)
-        if x.requires_grad:
+        if x.requires_grad and tiled:
+            # Each input element sits in exactly one window: col2im is the inverse transpose.
+            gx = (g_mat @ k_mat.T).reshape(b, to, ho, wo, kt, kh, kw, cin)
+            gx = gx.transpose(0, 1, 4, 2, 5, 3, 6, 7).reshape(b, t, h, w, cin)
+        elif x.requires_grad:
             gxp = np.zeros((b, tp, hp, wp, cin), dtype=g.dtype)
             for i in range(kt):
                 for j in range(kh):

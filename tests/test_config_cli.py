@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from cotrain import cli
 from cotrain.cli import main
 from cotrain.config import SCHEMA, RunConfig, write_resolved
 from cotrain.errors import ConfigError
-from cotrain.tensor_io import load_arrays
+from cotrain.tensor_io import load_arrays, save_arrays
 
 TINY_INI = """\
 [backbone]
@@ -208,6 +209,28 @@ class TestCliTrain:
         eval_steps = {r["step"] for r in records if r["kind"] == "eval"}
         assert eval_steps == {3, 6}
 
+    def test_one_evaluate_per_eval_point(self, tiny_ini, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_evaluate(model, suite, **kw):
+            results = real_evaluate(model, suite, **kw)
+            calls.append((suite, results))
+            return results
+
+        real_evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+        out = tmp_path / "run"
+        code = main(["train", "--config", tiny_ini, "--out", str(out), "--set", "report.eval_every=2"])
+        assert code == 0
+        assert len(calls) == 3  # steps 2 and 4, then the final evaluation at 6
+        records = [json.loads(line) for line in (out / "metrics.ndjson").read_text().splitlines()]
+        expected = [
+            {"kind": "eval", "step": step, "dataset": spec.name, "top1": r[spec.id].top1, "top5": r[spec.id].top5}
+            for step, (suite, r) in zip((2, 4, 6), calls)
+            for spec in suite.specs
+        ]
+        assert [r for r in records if r["kind"] == "eval"] == expected
+
 
 class TestCliEvalAndInspect:
     @pytest.fixture()
@@ -266,6 +289,49 @@ class TestCliEvalAndInspect:
             ["inspect-projections", "--checkpoint", str(out / "checkpoint_6.mttn")]
         )
         assert code == 1
+
+
+class TestCliBadCheckpoint:
+    """A missing, truncated or mismatched checkpoint exits 1 with one line, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ckpt")
+        ini = root / "tiny.cfg"
+        ini.write_text(TINY_INI)
+        out = root / "run"
+        assert main(["train", "--config", str(ini), "--out", str(out)]) == 0
+        truncated = root / "truncated.mttn"
+        blob = (out / "checkpoint_6.mttn").read_bytes()
+        truncated.write_bytes(blob[: len(blob) // 2])
+        arrays = load_arrays(out / "checkpoint_6.mttn")
+        save_arrays(root / "no_moments.mttn", {k: v for k, v in arrays.items() if not k.startswith("opt.")})
+        manifest = (out / "checkpoint_6.mttn.json").read_bytes()
+        for name in ("truncated", "no_moments"):
+            (root / f"{name}.mttn.json").write_bytes(manifest)
+        (root / "bad_manifest.mttn").write_bytes(blob)
+        (root / "bad_manifest.mttn.json").write_bytes(manifest[: len(manifest) // 2])
+        return root
+
+    @pytest.mark.parametrize("command", ["eval", "inspect-projections"])
+    @pytest.mark.parametrize(
+        "case,overrides,needle",
+        [
+            ("missing.mttn", [], "No such file or directory"),
+            ("truncated.mttn", [], "truncated"),
+            ("run/checkpoint_6.mttn", ["--set", "backbone.stage_dims=16"], "has shape"),
+            ("no_moments.mttn", [], "optimizer moment arrays"),
+            ("bad_manifest.mttn", [], "Expecting"),
+        ],
+    )
+    def test_exits_one_with_a_message(self, run_dir, command, case, overrides, needle, capsys):
+        path = run_dir / case
+        argv = [command, "--config", str(run_dir / "tiny.cfg"), "--checkpoint", str(path), *overrides]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: ")
+        assert needle in err[0]
 
 
 class TestCliAblate:

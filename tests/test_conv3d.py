@@ -132,3 +132,97 @@ class TestValidation:
     def test_kernel_larger_than_input(self):
         with pytest.raises(ConfigError):
             T.conv3d(Tensor(np.zeros((1, 2, 2, 2, 1))), Tensor(np.zeros((3, 1, 1, 1, 1))))
+
+
+# Kernel == stride, no padding, windows tile the input: the shapes the model
+# uses (patch embed, strided pool conv, unit-stride pool conv).
+TILED_CASES = [
+    ((2, 4, 8, 8, 1), (2, 4, 4, 1, 3)),
+    ((2, 4, 4, 6, 3), (2, 2, 2, 3, 4)),
+    ((2, 3, 4, 4, 3), (1, 1, 1, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("x_shape,k_shape", TILED_CASES)
+def test_tiled_forward_matches_oracle(x_shape, k_shape):
+    rng = Rng(17, hash(k_shape) & 0xFFFF)
+    x = rng.normal(x_shape)
+    k = rng.normal(k_shape)
+    out = T.conv3d(Tensor(x), Tensor(k), stride=k_shape[:3])
+    npt.assert_allclose(out.data, conv3d_oracle(x, k, k_shape[:3], (0, 0, 0)), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_shape,k_shape", TILED_CASES)
+def test_tiled_gradients_match_finite_differences(x_shape, k_shape):
+    rng = Rng(19, hash(k_shape) & 0xFFFF)
+    x0 = rng.normal(x_shape)
+    k0 = rng.normal(k_shape)
+    stride = k_shape[:3]
+    out_shape = (x_shape[0], *(n // s for n, s in zip(x_shape[1:4], stride)), k_shape[-1])
+    mask = Tensor(rng.normal(out_shape))
+    # The other operand also requires grad, so both backward branches run.
+    k = Tensor(k0, requires_grad=True)
+    assert finite_diff_check(lambda v: (T.conv3d(v, k, stride=stride) * mask).sum(), Tensor(x0)) < 1e-8
+    x = Tensor(x0, requires_grad=True)
+    assert finite_diff_check(lambda v: (T.conv3d(x, v, stride=stride) * mask).sum(), Tensor(k0)) < 1e-8
+
+
+def general_conv3d(x, k, stride):
+    """The sliding-window im2col and scatter col2im conv3d (no padding), frozen.
+
+    Returns the output and a function from the output gradient to the
+    gradients of ``x`` and ``k``.
+    """
+    kt, kh, kw, cin, cout = k.shape
+    st, sh, sw = stride
+    b, t, h, w, _ = x.shape
+    to, ho, wo = (t - kt) // st + 1, (h - kh) // sh + 1, (w - kw) // sw + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (kt, kh, kw), axis=(1, 2, 3))
+    win = np.ascontiguousarray(win[:, ::st, ::sh, ::sw].transpose(0, 1, 2, 3, 5, 6, 7, 4))
+    win_mat = win.reshape(b * to * ho * wo, kt * kh * kw * cin)
+    out = (win_mat @ k.reshape(kt * kh * kw * cin, cout)).reshape(b, to, ho, wo, cout)
+
+    def grads(g):
+        gk = (win_mat.T @ g.reshape(-1, cout)).reshape(k.shape)
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        for i, j, l in itertools.product(range(kt), range(kh), range(kw)):
+            gx[:, i : i + st * to : st, j : j + sh * ho : sh, l : l + sw * wo : sw] += g @ k[i, j, l].T
+        return gx, gk
+
+    return out, grads
+
+
+@pytest.mark.parametrize(
+    "x_shape,k_shape,pin_gx",
+    [
+        # The patch embed's input is the clip, which never requires grad; with
+        # one input channel the general path's x-gradient is a matrix-vector
+        # product per offset, so only the output and kernel gradient are pinned.
+        ((4, 8, 16, 16, 1), (2, 4, 4, 1, 16), False),
+        # Pool convs at the model's head widths (8 and 16 channels).  The
+        # x-gradient sums over C_out; one large GEMM and numpy's batched small
+        # ones round that sum alike for these widths on OpenBLAS 0.3.31
+        # (Haswell kernels), but not from 32 channels up.
+        ((4, 4, 4, 4, 8), (2, 2, 2, 8, 8), True),
+        ((4, 4, 4, 4, 8), (1, 1, 1, 8, 8), True),
+        ((4, 2, 2, 2, 8), (1, 1, 1, 8, 8), True),
+        ((4, 4, 8, 8, 16), (2, 2, 2, 16, 16), True),
+        ((4, 2, 4, 4, 16), (1, 1, 1, 16, 16), True),
+    ],
+)
+def test_tiled_path_is_bitwise_the_general_path(x_shape, k_shape, pin_gx):
+    rng = Rng(23, hash(k_shape) & 0xFFFF)
+    x = rng.normal(x_shape).astype(np.float32)
+    k = (0.2 * rng.normal(k_shape)).astype(np.float32)
+    g = rng.normal((x_shape[0], *(n // s for n, s in zip(x_shape[1:4], k_shape[:3])), k_shape[-1]))
+    g = g.astype(np.float32)
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    out = T.conv3d(xt, kt, stride=k_shape[:3])
+    (out * Tensor(g)).sum().backward()
+    ref, ref_grads = general_conv3d(x, k, k_shape[:3])
+    ref_gx, ref_gk = ref_grads(g)
+    assert out.dtype == np.float32
+    npt.assert_array_equal(out.data, ref)
+    npt.assert_array_equal(kt.grad, ref_gk)
+    if pin_gx:
+        npt.assert_array_equal(xt.grad, ref_gx)

@@ -3,9 +3,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import special
 
 from cotrain import tensor as T
 from cotrain.errors import ConfigError, ContractError, ShapeError
+from cotrain.rng import Rng
 from cotrain.tensor import Tensor
 
 
@@ -201,3 +203,81 @@ class TestCountOps:
         # no counter active outside the blocks
         x + x
         assert outer.ops == {"add": 2}
+
+
+# -- bitwise pins -------------------------------------------------------------
+# Each op's float32 output and gradients must equal, bit for bit, the plain
+# formula below (one numpy expression per step, no buffer reuse).  The ops
+# compute the same values with fewer temporaries; trained parameters depend on
+# every bit, so any reordering of the float arithmetic shows up here first.
+
+
+def plain_softmax(x, g, axis=-1):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+    inner = (g * y).sum(axis=axis, keepdims=True)
+    return y, ((g - inner) * y,)
+
+
+def plain_layer_norm(x, gamma, beta, g, eps=1e-5):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    y = gamma * xhat + beta
+    lead = tuple(range(x.ndim - 1))
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return y, ((dxhat - m1 - xhat * m2) * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+
+def plain_gelu(x, g):
+    cdf = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0, dtype=x.dtype)))
+    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi, dtype=x.dtype)
+    return x * cdf, (g * (cdf + x * pdf),)
+
+
+def _taped(op, arrays, g):
+    """Output and input gradients of ``op`` with upstream gradient exactly ``g``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    (out * Tensor(g)).sum().backward()
+    return out.data, tuple(leaf.grad for leaf in leaves)
+
+
+def _f32(rng, shape, scale=1.0):
+    return (scale * rng.normal(shape)).astype(np.float32)
+
+
+class TestBitwisePins:
+    def test_softmax(self):
+        rng = Rng(31, 0)
+        x, g = _f32(rng, (4, 2, 16, 9), 3.0), _f32(rng, (4, 2, 16, 9))
+        out, (gx,) = _taped(T.softmax, [x], g)
+        ref, (ref_gx,) = plain_softmax(x, g)
+        assert out.dtype == gx.dtype == np.float32
+        npt.assert_array_equal(out, ref)
+        npt.assert_array_equal(gx, ref_gx)
+
+    def test_layer_norm(self):
+        rng = Rng(31, 1)
+        x, g = _f32(rng, (8, 64, 16), 2.0) + np.float32(0.5), _f32(rng, (8, 64, 16))
+        gamma, beta = 1.0 + _f32(rng, (16,), 0.1), _f32(rng, (16,), 0.1)
+        out, grads = _taped(T.layer_norm, [x, gamma, beta], g)
+        ref, ref_grads = plain_layer_norm(x, gamma, beta, g)
+        assert out.dtype == np.float32
+        npt.assert_array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
+            assert got.dtype == np.float32
+            npt.assert_array_equal(got, want)
+
+    def test_gelu(self):
+        rng = Rng(31, 2)
+        x, g = _f32(rng, (8, 64, 32), 2.0), _f32(rng, (8, 64, 32))
+        out, (gx,) = _taped(T.gelu, [x], g)
+        ref, (ref_gx,) = plain_gelu(x, g)
+        assert out.dtype == gx.dtype == np.float32
+        npt.assert_array_equal(out, ref)
+        npt.assert_array_equal(gx, ref_gx)
