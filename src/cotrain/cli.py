@@ -3,7 +3,7 @@
 Subcommands: ``train``, ``eval``, ``gradcheck``, ``ablate``,
 ``inspect-projections``, ``dump-dataset``.  Exit codes: 0 success, 1 usage or
 configuration problems, 2 verification failure (gradient checks over
-threshold), 3 numeric failure (non-finite loss during training).
+threshold), 3 numeric failure (non-finite loss or gradient norm during training).
 
 Run directories are append-only: a second run aimed at a non-empty directory
 is refused unless ``--force`` is given, which clears it first.

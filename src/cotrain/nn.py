@@ -65,7 +65,9 @@ class Module:
                 raise ShapeError(
                     f"parameter '{name}' has shape {param.shape}, state has {tuple(arr.shape)}"
                 )
-            param.data = arr.astype(param.data.dtype, copy=True)
+        # Copy into the existing arrays: under an optimizer they are arena views.
+        for name, param in params.items():
+            param.data[...] = arrays[name]
 
     def to_dtype(self, dtype) -> "Module":
         """Convert every parameter in place (used for float64 gradient checks)."""

@@ -1,4 +1,10 @@
-"""AdamW with decoupled weight decay, and the warmup-cosine learning rate."""
+"""AdamW with decoupled weight decay over flat arenas, and the warmup-cosine learning rate.
+
+:class:`AdamW` keeps every parameter, its gradient and its two moments in four
+flat arenas, so a step and a gradient clip are a few whole-arena numpy calls
+instead of a chain of calls per tensor.  The arithmetic is :func:`adamw_update`
+applied elementwise, so it gives the same bits as one call per tensor.
+"""
 from __future__ import annotations
 
 import math
@@ -6,7 +12,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .tensor import Tensor
 
 
@@ -53,12 +59,52 @@ def adamw_update(
     param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-class AdamW:
-    """Decoupled-weight-decay Adam over a named parameter dict.
+_ALIGN_BYTES = 64
+# Elements per adamw_update call, so its temporaries stay in a core's L2
+# cache.  On a 2-core Xeon (2 MiB L2 per core), a 270k-element arena took
+# 1.0 ms in 32k blocks and 1.4 ms in one call (2.9 ms when glibc maps each
+# 1 MB temporary afresh, as it does under its default malloc thresholds).
+_BLOCK = 1 << 15
 
-    Decay applies only to matrices and higher-rank tensors; vectors (biases,
-    norm scales, log-sigma) are exempt.  Moment buffers keep the parameter
-    dtype so checkpoints restore bit-exactly.
+
+def _aligned_zeros(size: int, dtype) -> np.ndarray:
+    """A zeroed 1-d array whose first element sits on a 64-byte boundary."""
+    itemsize = np.dtype(dtype).itemsize
+    raw = np.zeros(size * itemsize + _ALIGN_BYTES, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN_BYTES
+    return raw[start : start + size * itemsize].view(dtype)
+
+
+def _memory_order(a: np.ndarray) -> tuple[int, ...]:
+    """Axes of ``a`` from the largest stride to the smallest: its memory order."""
+    return tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
+
+
+class AdamW:
+    """Decoupled-weight-decay Adam over a named parameter dict, on flat arenas.
+
+    Layout.  Four 1-d arenas of the parameters' dtype hold the parameters, the
+    gradients and the first and second moments.  Each tensor owns the same
+    segment in all four; segments start on 64-byte boundaries, matrices and
+    higher-rank tensors first, then vectors.  ``p.data``, ``m[name]`` and
+    ``v[name]`` are views of their segments, so checkpoint entries keep their
+    names and shapes.  :meth:`step` copies each ``p.grad`` into its view and
+    runs :func:`adamw_update` over the matrix slice with weight decay and over
+    the vector slice (biases, norm scales, log-sigma) without, in blocks of
+    ``_BLOCK`` elements.  After :meth:`clip_grad_norm` or :meth:`step`, each
+    present ``p.grad`` is its gradient view, overwritten on the next step.
+    Moments keep the parameter dtype so checkpoints restore bit-exactly.
+
+    Skip rule.  A tensor whose ``grad`` is None at :meth:`step` keeps its
+    parameter and both moments bit-unchanged.  When it next has a gradient,
+    its bias correction uses the global step count ``t``, not a count of the
+    steps it took part in.
+
+    Rebind rule.  A caller may rebind ``p.data`` to a new array of the same
+    shape (as :func:`cotrain.verify._widen` does).  The next :meth:`step` or
+    :meth:`clip_grad_norm` copies it into the arena and points ``p.data`` back
+    at the view, so the new values train.  Writes into ``p.data`` in place
+    need nothing.
     """
 
     def __init__(
@@ -73,19 +119,111 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+
+        dtypes = {p.data.dtype for p in self.params.values()}
+        if len(dtypes) > 1:
+            raise ContractError(f"AdamW needs one parameter dtype, got {sorted(d.name for d in dtypes)}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
+        align = max(1, _ALIGN_BYTES // dtype.itemsize)
+        matrices = [name for name, p in self.params.items() if p.data.ndim >= 2]
+        vectors = [name for name, p in self.params.items() if p.data.ndim < 2]
+        slices: dict[str, slice] = {}
+        end = 0
+        for group in (matrices, vectors):
+            # After the loop, ``_split`` is where the vector slice starts.
+            self._split = -(-end // align) * align
+            for name in group:
+                start = -(-end // align) * align
+                end = start + self.params[name].data.size
+                slices[name] = slice(start, end)
+        self._data, self._grad, self._m, self._v = (_aligned_zeros(end, dtype) for _ in range(4))
+
+        # (name, tensor, segment, parameter view, gradient view), in the dict's order.
+        self._entries = []
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        for name, p in self.params.items():
+            s, shape = slices[name], p.data.shape
+            data = self._data[s].reshape(shape)
+            data[...] = p.data
+            p.data = data
+            self.m[name] = self._m[s].reshape(shape)
+            self.v[name] = self._v[s].reshape(shape)
+            self._entries.append((name, p, s, data, self._grad[s].reshape(shape)))
+        # Memory order of each gradient as it arrived, None when C-contiguous.
+        self._grad_order: dict[str, Optional[tuple[int, ...]]] = {}
+
+    def _gather(self) -> list[bool]:
+        """Copy this step's gradients into the gradient arena; which tensors have one.
+
+        Re-adopts rebound ``p.data``, points every present ``p.grad`` at its
+        view and zeroes the segments of tensors without a gradient.
+        """
+        present = []
+        for name, p, _, data, grad in self._entries:
+            if p.data is not data:
+                if p.data.shape != data.shape:
+                    raise ShapeError(f"parameter '{name}' was rebound to shape {p.data.shape}, expected {data.shape}")
+                data[...] = p.data
+                p.data = data
+            g = p.grad
+            if g is None:
+                grad.fill(0)
+                present.append(False)
+                continue
+            if g is not grad:
+                if g.shape != grad.shape:
+                    raise ShapeError(f"gradient of '{name}' has shape {g.shape}, expected {grad.shape}")
+                self._grad_order[name] = None if g.flags.c_contiguous else _memory_order(g)
+                grad[...] = g
+                p.grad = grad
+            present.append(True)
+        return present
+
+    def clip_grad_norm(self, max_norm: float) -> float:
+        """Scale the gradients to a global L2 norm of at most ``max_norm``; return the norm before.
+
+        The norm is a float64 sum of squares taken tensor by tensor in the
+        parameter dict's order, each tensor in the memory order its gradient
+        arrived in, so it has the same bits as summing each ``p.grad`` alone.
+        A non-finite norm raises :class:`NumericError` naming the step (the
+        0-based index of the step about to be taken, ``t``).
+        """
+        present = self._gather()
+        squares = np.square(self._grad, dtype=np.float64)
+        total = 0.0
+        for (name, _, s, _, grad), has in zip(self._entries, present):
+            if not has:
+                continue
+            seg = squares[s]
+            order = self._grad_order[name]
+            if order is not None:
+                seg = np.ascontiguousarray(seg.reshape(grad.shape).transpose(order))
+            total += float(seg.sum())
+        norm = total**0.5
+        if not math.isfinite(norm):
+            raise NumericError(f"non-finite gradient norm at step {self.t}: {norm}")
+        if norm > max_norm:
+            self._grad *= max_norm / norm
+        return norm
 
     def step(self, lr: float) -> None:
         self.t += 1
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            decay = self.weight_decay if p.data.ndim >= 2 else 0.0
-            adamw_update(
-                p.data, p.grad, self.m[name], self.v[name], self.t,
-                lr, self.beta1, self.beta2, self.eps, decay,
-            )
+        present = self._gather()
+        kept = [
+            (s, self._data[s].copy(), self._m[s].copy(), self._v[s].copy())
+            for (_, _, s, _, _), has in zip(self._entries, present)
+            if not has
+        ]
+        for lo, hi, decay in ((0, self._split, self.weight_decay), (self._split, self._data.size, 0.0)):
+            for start in range(lo, hi, _BLOCK):
+                part = slice(start, min(start + _BLOCK, hi))
+                adamw_update(
+                    self._data[part], self._grad[part], self._m[part], self._v[part], self.t,
+                    lr, self.beta1, self.beta2, self.eps, decay,
+                )
+        for s, data, m, v in kept:
+            self._data[s], self._m[s], self._v[s] = data, m, v
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -99,10 +237,20 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: Mapping[str, np.ndarray], t: int) -> None:
-        missing = [k for name in self.params for k in (f"opt.m.{name}", f"opt.v.{name}") if k not in arrays]
+        """Copy moment arrays into the arenas; a missing or off-shape entry raises ShapeError."""
+        targets = {
+            f"opt.{kind}.{name}": store[name]
+            for name in self.params
+            for kind, store in (("m", self.m), ("v", self.v))
+        }
+        missing = [key for key in targets if key not in arrays]
         if missing:
             raise ShapeError(f"state is missing {len(missing)} optimizer moment arrays, first '{missing[0]}'")
-        for name in self.params:
-            self.m[name] = arrays[f"opt.m.{name}"].astype(self.m[name].dtype, copy=True)
-            self.v[name] = arrays[f"opt.v.{name}"].astype(self.v[name].dtype, copy=True)
+        for key, target in targets.items():
+            if tuple(arrays[key].shape) != target.shape:
+                raise ShapeError(
+                    f"optimizer entry '{key}' has shape {target.shape}, state has {tuple(arrays[key].shape)}"
+                )
+        for key, target in targets.items():
+            target[...] = arrays[key]
         self.t = t

@@ -233,19 +233,6 @@ class TrainState:
         return TrainState(model, opt, train_config, suite, step=0, config_hash=config_hash)
 
 
-def _clip_gradients(params, max_norm: float) -> None:
-    total = 0.0
-    grads = [p.grad for p in params if p.grad is not None]
-    for g in grads:
-        total += float((g.astype(np.float64) ** 2).sum())
-    norm = total**0.5
-    if norm > max_norm:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
-
-
 def train_steps(
     state: TrainState,
     num_steps: int,
@@ -259,7 +246,6 @@ def train_steps(
     """
     cfg = state.config
     reports = []
-    params = list(state.opt.params.values())
     for _ in range(num_steps):
         rng = Rng(cfg.seed, stream=_STREAM_BATCH_BASE + state.step)
         batch = sample_mixed_batch(rng, cfg.batch_size, state.suite, cfg.mixing)
@@ -267,7 +253,7 @@ def train_steps(
         report.check_finite(state.step)
         total.backward()
         if cfg.grad_clip > 0:
-            _clip_gradients(params, cfg.grad_clip)
+            state.opt.clip_grad_norm(cfg.grad_clip)
         lr = lr_schedule(state.step, cfg.steps, cfg.base_lr, cfg.warmup_steps, cfg.lr_min)
         state.opt.step(lr)
         state.opt.zero_grad()

@@ -306,8 +306,11 @@ class TestCliBadCheckpoint:
         truncated.write_bytes(blob[: len(blob) // 2])
         arrays = load_arrays(out / "checkpoint_6.mttn")
         save_arrays(root / "no_moments.mttn", {k: v for k, v in arrays.items() if not k.startswith("opt.")})
+        # A (1, n) moment for an (n,) vector would broadcast silently on a plain copy.
+        key = next(k for k, v in arrays.items() if k.startswith("opt.m.") and v.ndim == 1)
+        save_arrays(root / "bad_moment.mttn", {**arrays, key: arrays[key][None]})
         manifest = (out / "checkpoint_6.mttn.json").read_bytes()
-        for name in ("truncated", "no_moments"):
+        for name in ("truncated", "no_moments", "bad_moment"):
             (root / f"{name}.mttn.json").write_bytes(manifest)
         (root / "bad_manifest.mttn").write_bytes(blob)
         (root / "bad_manifest.mttn.json").write_bytes(manifest[: len(manifest) // 2])
@@ -321,6 +324,7 @@ class TestCliBadCheckpoint:
             ("truncated.mttn", [], "truncated"),
             ("run/checkpoint_6.mttn", ["--set", "backbone.stage_dims=16"], "has shape"),
             ("no_moments.mttn", [], "optimizer moment arrays"),
+            ("bad_moment.mttn", [], "optimizer entry 'opt.m."),
             ("bad_manifest.mttn", [], "Expecting"),
         ],
     )

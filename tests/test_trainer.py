@@ -6,13 +6,13 @@ import pytest
 
 from cotrain.backbone import BackboneConfig, StageConfig
 from cotrain.data import generate_synthetic_suite
-from cotrain.errors import ConfigError
+from cotrain.errors import ConfigError, NumericError
+from cotrain.optim import AdamW
 from cotrain.tensor import Tensor
 from cotrain.trainer import (
     MODES,
     TrainConfig,
     TrainState,
-    _clip_gradients,
     build_model,
     evaluate,
     load_checkpoint,
@@ -116,13 +116,13 @@ class TestGradientClipping:
     def test_large_gradient_rescaled_to_max_norm(self):
         p = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
         p.grad = np.full(4, 3.0, dtype=np.float32)
-        _clip_gradients([p], max_norm=1.0)
+        AdamW({"p": p}).clip_grad_norm(max_norm=1.0)
         npt.assert_allclose(np.linalg.norm(p.grad), 1.0, rtol=1e-6)
 
     def test_small_gradient_untouched(self):
         p = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
         p.grad = np.full(4, 0.01, dtype=np.float32)
-        _clip_gradients([p], max_norm=1.0)
+        AdamW({"p": p}).clip_grad_norm(max_norm=1.0)
         npt.assert_array_equal(p.grad, np.full(4, 0.01, dtype=np.float32))
 
     def test_norm_is_global_across_params(self):
@@ -130,9 +130,27 @@ class TestGradientClipping:
         b = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
         a.grad = np.array([3.0], dtype=np.float32)
         b.grad = np.array([4.0], dtype=np.float32)
-        _clip_gradients([a, b], max_norm=1.0)
+        AdamW({"a": a, "b": b}).clip_grad_norm(max_norm=1.0)
         npt.assert_allclose(a.grad, [0.6], rtol=1e-6)
         npt.assert_allclose(b.grad, [0.8], rtol=1e-6)
+
+    def test_infinite_gradient_stops_training_at_its_step(self, monkeypatch):
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        train_steps(state, 2)
+        before = state.model.state_arrays()
+        backward = Tensor.backward
+
+        def poisoned_backward(self):
+            backward(self)
+            next(iter(state.opt.params.values())).grad[...] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+        with pytest.raises(NumericError, match="non-finite gradient norm at step 2"):
+            train_steps(state, 1)
+        # Nothing was written: the step stopped before the update.
+        assert state.step == 2
+        for name, arr in state.model.state_arrays().items():
+            npt.assert_array_equal(arr, before[name], err_msg=name)
 
 
 class TestTrainingLoop:
