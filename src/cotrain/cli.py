@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
+import os
 import shutil
 import sys
 import time
@@ -237,13 +239,21 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got '{text}'") from None
+    if not seeds:
+        raise ConfigError("--seeds must name at least one seed")
+    return seeds
+
+
 def cmd_ablate(args) -> int:
+    seeds = _parse_seeds(str(args.seeds))
     cfg = _load_config(args)
     out = _prepare_out(args, "ablate")
     write_resolved(cfg, out)
-    seeds = [int(s) for s in str(args.seeds).split(",") if s.strip()]
-    if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
     suite_names = [spec.name for spec in cfg.suite().specs]
     acc: dict[tuple[str, str], list[tuple[float, float]]] = {}
     steps = cfg.get("train", "steps")
@@ -285,7 +295,6 @@ def cmd_inspect_projections(args) -> int:
     )
     if state.model.projections is None:
         raise ConfigError("this mode trains no projection bank; nothing to inspect")
-    _load_checkpoint(state, args.checkpoint)
     bank = state.model.projections
     registry = DatasetRegistry(suite.specs)
 
@@ -294,9 +303,14 @@ def cmd_inspect_projections(args) -> int:
             i, k = (int(part) for part in args.pair.split(":"))
         except ValueError:
             raise ConfigError(f"--pair must be I:K dataset ids, got '{args.pair}'") from None
+        if (i, k) not in bank.pairs():
+            raise ConfigError(
+                f"--pair {args.pair}: needs two different dataset ids in 0..{len(suite.specs) - 1}"
+            )
         pairs_to_show = [(i, k)]
     else:
         pairs_to_show = bank.pairs()
+    _load_checkpoint(state, args.checkpoint)
 
     top = args.top if args.top is not None else cfg.get("report", "top_pairs")
     agree_hits = 0
@@ -325,6 +339,8 @@ def cmd_inspect_projections(args) -> int:
 
 
 def cmd_dump_dataset(args) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be 0 (whole split) or a positive count, got {args.limit}")
     cfg = _load_config(args)
     out = _prepare_out(args, "dump")
     write_resolved(cfg, out)
@@ -365,9 +381,37 @@ _COMMANDS = {
 }
 
 
+# glibc's mallopt parameters (malloc.h) and the values the CLI pins.
+_MALLOPT = (("M_MMAP_THRESHOLD", -3, 1 << 30), ("M_TRIM_THRESHOLD", -1, -1))
+
+
+def _pin_malloc() -> None:
+    """Serve large arrays from a heap glibc never trims, as ``perfbench/run.py`` does.
+
+    Under glibc's default, adaptive thresholds numpy's temporaries of 128 KiB
+    and up can be mapped and faulted in afresh on every call: one
+    ``adamw_update`` over a 270k-element arena took 2.9 ms that way against
+    1.4 ms pinned.  ``mallopt`` takes an int, so the trim threshold is -1
+    ("never trim", per mallopt(3)) where the benchmark's environment gives
+    4 GiB.  Other C libraries are left alone.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    for name, param, value in _MALLOPT:
+        if libc.mallopt(param, value) != 1:
+            print(f"warning: mallopt({name}, {value}) failed; glibc's default applies", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_malloc()
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as err:

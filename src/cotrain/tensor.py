@@ -7,11 +7,33 @@ and then retires the tape, so each training step builds a fresh graph.  There
 is no higher-order differentiation.
 
 Data lives in row-major numpy arrays, float32 by default; gradient checks use
-float64 throughout.  All computation is single-threaded numpy, which keeps
-runs bit-reproducible.
+float64 throughout.
+
+The heavy kernels (gelu, softmax and log_softmax, layer_norm, stacked matmul,
+elementwise arithmetic and gradient sums, conv3d's im2col/col2im copies)
+split their work across a thread pool with one worker per CPU in the process's
+affinity mask, the calling thread included.  The pool starts on first use and
+is rebuilt in a forked child.  An op splits when its largest array holds at
+least ``SPLIT_SIZE`` elements: its leading-axis rows are cut into one
+contiguous block per worker, and the caller and the helper threads claim
+blocks until none is left.  Smaller ops run their kernel once over the whole
+array, in the caller.  No split crosses a reduced axis or changes the shape of
+a BLAS call: row-wise kernels split only C-contiguous arrays along an axis
+they do not reduce, matmul splits only along a batch axis numpy already loops
+over (2-D GEMMs stay whole, and so do all GEMMs unless the environment gives
+OpenBLAS a single thread), and the reductions that sum over rows
+(``_unbroadcast``, layer_norm's scale and shift gradients) run whole in the
+caller.  Every element therefore comes from the same numpy or BLAS call on
+the same data, every output has the layout numpy gives it, and trained bits
+are identical for any worker count.  Blocks call only numpy and scipy, never
+another op, so the tape and ``count_ops`` do not see the pool.
 """
 from __future__ import annotations
 
+import itertools
+import os
+import queue
+import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,6 +94,213 @@ class count_ops:
         global _counter
         _counter = self._prev
         return False
+
+
+# -- worker pool --------------------------------------------------------------
+
+# Elements in an op's largest array from which its kernel splits across the
+# pool.  Measured on a 2-core Xeon VM (numpy 2.4.6, OpenBLAS on one thread),
+# training step time against no splitting: the benchmark's wide_clip_vanilla
+# ran at 0.69 with 2^17 (150 splits a step), 0.70 with 2^18 (79) and 0.71 with
+# 2^19 (48); default_full made 20 splits a step at 2^17 and ran 13 % slower,
+# and none at 2^18.  Waking a helper costs 80-280 us there, so smaller ops lose.
+SPLIT_SIZE = 1 << 18
+
+_tasks: Optional[queue.SimpleQueue] = None
+_workers = 0  # 0 until the first large op starts the pool
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        tasks.get()()
+
+
+def _pool_workers() -> int:
+    """Threads that run kernels, the caller included; starts the helpers on first use."""
+    global _tasks, _workers
+    if not _workers:
+        with _pool_lock:
+            if not _workers:
+                n = _cpu_count()
+                if n > 1:
+                    _tasks = queue.SimpleQueue()
+                    for i in range(n - 1):
+                        threading.Thread(
+                            target=_serve, args=(_tasks,), name=f"cotrain-split-{i}", daemon=True
+                        ).start()
+                _workers = n
+    return _workers
+
+
+def _forget_pool() -> None:
+    """In a forked child the helper threads are gone; the next split starts new ones."""
+    global _tasks, _workers, _pool_lock
+    _tasks, _workers, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(chunk, rows: int, like: Sequence[tuple]):
+    """Run a row kernel over leading-axis rows ``[0, rows)`` of large arrays; return its outputs.
+
+    ``chunk(r, *outs)`` computes rows ``r`` (a slice, or ``...`` for all rows)
+    and returns its output array(s), writing each into the matching ``outs``
+    argument when one is passed.  With one row or one worker ``chunk(...)``
+    runs once in the caller and numpy allocates the outputs.  Otherwise the
+    outputs are allocated here as C-contiguous arrays of the ``(shape,
+    dtype)`` pairs in ``like``, and the rows are cut into one contiguous block
+    per worker.  The caller and the helpers each claim the next unclaimed
+    block until none is left: a helper whose core was idle took 80-280 us to
+    wake on a 2-core Xeon VM, and the caller does not wait for one that has
+    not started.  Callers split only arrays whose outputs numpy would also
+    allocate C-contiguous, so the layout and every bit are the same whichever
+    thread runs a block, for any worker count.
+    """
+    if rows < 2 or _pool_workers() < 2:
+        return chunk(...)
+    outs = [np.empty(shape, dtype=dtype) for shape, dtype in like]
+    k = min(rows, _workers)
+    bounds = [rows * i // k for i in range(k + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    claim = itertools.count().__next__
+    done: queue.SimpleQueue = queue.SimpleQueue()
+
+    def drain():
+        while (i := claim()) < k:
+            r = blocks[i]
+            try:
+                chunk(r, *(o[r] for o in outs))
+            except BaseException as err:  # re-raised in the caller
+                done.put(err)
+            else:
+                done.put(None)
+
+    for _ in range(k - 1):
+        _tasks.put(drain)
+    drain()
+    errors = [err for err in (done.get() for _ in range(k)) if err is not None]
+    if errors:
+        raise errors[0]
+    return outs[0] if len(outs) == 1 else outs
+
+
+def _rowwise(chunk, like: Sequence[tuple], *arrays: np.ndarray, axis: Optional[int] = None):
+    """Run a row kernel over same-shape ``arrays``: once below ``SPLIT_SIZE``, else split.
+
+    Small arrays run ``chunk(...)`` once, over every row, with numpy
+    allocating the outputs so they take the layout numpy gives them.  Only
+    C-contiguous arrays split, and never along the reduced ``axis``: a block
+    of rows then runs the same reductions over the same memory as the whole
+    array does, and numpy's own outputs would be C-contiguous too.
+    """
+    x = arrays[0]
+    if (
+        x.size < SPLIT_SIZE
+        or (axis is not None and axis % x.ndim == 0)
+        or not all(arr.flags.c_contiguous for arr in arrays)
+    ):
+        return chunk(...)
+    return _split(chunk, x.shape[0], like)
+
+
+def _result_dtype(x: np.ndarray, y: np.ndarray) -> np.dtype:
+    return x.dtype if x.dtype == y.dtype else np.result_type(x, y)
+
+
+def _binary(op: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``op(x, y)`` for an arithmetic ufunc, one call per block of output rows when large.
+
+    An operand without the output's leading axis (a bias, a scalar) goes whole
+    to every block.  Below ``SPLIT_SIZE`` the call is ``op(x, y)`` itself: this
+    runs several hundred times a step on small arrays, where a closure and two
+    more calls cost about 2 us a call on a 2-core Xeon VM.
+    """
+    if (x.size < SPLIT_SIZE and y.size < SPLIT_SIZE) or not (x.flags.c_contiguous and y.flags.c_contiguous):
+        return op(x, y)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    rows = shape[0]
+    sx = x.ndim == len(shape) and x.shape[0] == rows
+    sy = y.ndim == len(shape) and y.shape[0] == rows
+
+    def chunk(r, out=None):
+        return op(x[r] if sx else x, y[r] if sy else y, out)
+
+    return _split(chunk, rows, [(shape, _result_dtype(x, y))])
+
+
+def _blas_on_one_thread() -> bool:
+    """Whether the environment gives OpenBLAS one thread (it reads these variables at load).
+
+    Stacked matmuls split only then.  A multithreaded BLAS already spreads each
+    GEMM over the cores, and splitting on top of it made default_full's eval
+    28 % slower on 2 cores (208.7 ms against 162.9 ms with the other kernels
+    split and the matmuls whole).
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value:
+            return value == "1"
+    return False
+
+
+_SPLIT_GEMMS = _blas_on_one_thread()
+
+
+def _c_ordered_batch(arr: np.ndarray) -> bool:
+    """Whether the batch axes of a matmul operand lie in C order in memory."""
+    strides = [abs(s) for s, n in zip(arr.strides[:-2], arr.shape[:-2]) if n > 1]
+    return all(s0 >= s1 for s0, s1 in zip(strides, strides[1:]))
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.matmul(x, y)``, one call per block of leading batch rows when large.
+
+    numpy runs a stacked product as one GEMM per matrix, so a block of batch
+    rows issues exactly the GEMMs the whole call would.  A 2-D product stays
+    one call, and so does every product while BLAS runs its own threads.  The
+    output may hold more elements than either operand (``q @ k^T``); the size
+    test bounds it from below without building its shape, as the test runs
+    for every product.  Below ``SPLIT_SIZE`` the call is ``np.matmul(x, y)``
+    itself, as in :func:`_binary`.
+    """
+    if _SPLIT_GEMMS and (x.ndim > 2 or y.ndim > 2):
+        m, n = x.shape[-2], y.shape[-1]
+        size = max(x.size, y.size, x.size // max(x.shape[-1], 1) * n, y.size // max(y.shape[-2], 1) * m)
+        if size >= SPLIT_SIZE and _c_ordered_batch(x) and _c_ordered_batch(y):
+            shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (m, n)
+            rows = shape[0]
+            sx = x.ndim == len(shape) and x.shape[0] == rows
+            sy = y.ndim == len(shape) and y.shape[0] == rows
+
+            def chunk(r, out=None):
+                return np.matmul(x[r] if sx else x, y[r] if sy else y, out)
+
+            return _split(chunk, rows, [(shape, _result_dtype(x, y))])
+    return np.matmul(x, y)
+
+
+def _contiguous(src: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(src)``, one copy per block of leading-axis rows when large."""
+    if src.size < SPLIT_SIZE or src.flags.c_contiguous:
+        return np.ascontiguousarray(src)
+
+    def chunk(r, out=None):
+        if out is None:
+            out = np.empty(src[r].shape, dtype=src.dtype)
+        np.copyto(out, src[r])
+        return out
+
+    return _split(chunk, src.shape[0], [(src.shape, src.dtype)])
 
 
 class Tensor:
@@ -212,7 +441,7 @@ class Tensor:
                 if parent.grad is None:
                     parent.grad = g
                 else:
-                    parent.grad = parent.grad + g
+                    parent.grad = _binary(np.add, parent.grad, g)
             node._backward_fn = None
             node._parents = ()
             node._swept = True
@@ -259,16 +488,22 @@ def _coerce(value, dtype) -> Tensor:
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward, name: str, flops: int = 0) -> Tensor:
     if _counter is not None:
         _counter.add(name, flops)
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires)
-    if requires:
-        out._parents = parents
-        out._backward_fn = backward
+    out = Tensor(data)
+    if _grad_enabled:
+        # A plain loop: ``any()`` over a generator cost about 1 us per node.
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward_fn = backward
+                break
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` along the axes numpy broadcasting added."""
+    if g.shape == shape:  # most calls; skips building the axis tuples
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -284,7 +519,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
     b = _coerce(b, a.dtype)
-    data = a.data + b.data
+    data = _binary(np.add, a.data, b.data)
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -295,7 +530,7 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
     b = _coerce(b, a.dtype)
-    data = a.data - b.data
+    data = _binary(np.subtract, a.data, b.data)
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -306,12 +541,12 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
     b = _coerce(b, a.dtype)
-    data = a.data * b.data
+    data = _binary(np.multiply, a.data, b.data)
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        ga = _unbroadcast(g * b_data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a_data, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(_binary(np.multiply, g, b_data), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(_binary(np.multiply, g, a_data), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _from_op(data, (a, b), backward, "mul", data.size)
@@ -320,11 +555,11 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
     b = _coerce(b, a.dtype)
-    data = a.data / b.data
+    data = _binary(np.divide, a.data, b.data)
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        ga = _unbroadcast(g / b_data, a.shape) if a.requires_grad else None
+        ga = _unbroadcast(_binary(np.divide, g, b_data), a.shape) if a.requires_grad else None
         gb = _unbroadcast(-g * a_data / (b_data * b_data), b.shape) if b.requires_grad else None
         return ga, gb
 
@@ -390,23 +625,33 @@ def relu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, ``x * Phi(x)`` with the erf form."""
     x = a.data
-    # cdf = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
-    cdf = x / np.sqrt(2.0, dtype=x.dtype)
-    _special.erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    data = x * cdf
+    like = [(x.shape, x.dtype)]
+
+    def forward(r, cdf=None, out=None):
+        # cdf = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
+        xr = x[r]
+        cdf = np.divide(xr, np.sqrt(2.0, dtype=x.dtype), out=cdf)
+        _special.erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        return cdf, np.multiply(xr, cdf, out=out)
+
+    cdf, data = _rowwise(forward, like * 2, x)
 
     def backward(g):
-        # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer.
-        d = -0.5 * x
-        d *= x
-        np.exp(d, out=d)
-        d /= np.sqrt(2.0 * np.pi, dtype=x.dtype)
-        d *= x
-        d += cdf
-        d *= g
-        return (d,)
+        def chunk(r, d=None):
+            # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer.
+            xr = x[r]
+            d = np.multiply(-0.5, xr, out=d)
+            d *= xr
+            np.exp(d, out=d)
+            d /= np.sqrt(2.0 * np.pi, dtype=x.dtype)
+            d *= xr
+            d += cdf[r]
+            d *= g[r]
+            return d
+
+        return (_rowwise(chunk, like, x, g),)
 
     return _from_op(data, (a,), backward, "gelu", 8 * a.size)
 
@@ -519,7 +764,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     try:
-        data = np.matmul(a.data, b.data)
+        data = _matmul(a.data, b.data)
     except ValueError as err:
         raise ShapeError(f"matmul batch dims do not broadcast: {a.shape} @ {b.shape}") from err
     a_data, b_data = a.data, b.data
@@ -528,9 +773,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
+            ga = _unbroadcast(_matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
         if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
+            gb = _unbroadcast(_matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
         return ga, gb
 
     return _from_op(data, (a, b), backward, "matmul", flops)
@@ -540,26 +785,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    data = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
+    x = a.data
+    like = [(x.shape, x.dtype)]
+
+    def forward(r, out=None):
+        xr = x[r]
+        out = np.subtract(xr, xr.max(axis=axis, keepdims=True), out=out)
+        np.exp(out, out=out)
+        out /= out.sum(axis=axis, keepdims=True)
+        return out
+
+    data = _rowwise(forward, like, x, axis=axis)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        ga = g - inner
-        ga *= data
-        return (ga,)
+        def chunk(r, ga=None):
+            gr, d = g[r], data[r]
+            inner = (gr * d).sum(axis=axis, keepdims=True)
+            ga = np.subtract(gr, inner, out=ga)
+            ga *= d
+            return ga
+
+        return (_rowwise(chunk, like, g, data, axis=axis),)
 
     return _from_op(data, (a,), backward, "softmax", 5 * a.size)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
+    x = a.data
+    like = [(x.shape, x.dtype)]
+
+    def forward(r, out=None):
+        xr = x[r]
+        shifted = xr - xr.max(axis=axis, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+        return np.subtract(shifted, lse, out=out)
+
+    data = _rowwise(forward, like, x, axis=axis)
 
     def backward(g):
-        return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
+        def chunk(r, ga=None):
+            gr = g[r]
+            return np.subtract(gr, np.exp(data[r]) * gr.sum(axis=axis, keepdims=True), out=ga)
+
+        return (_rowwise(chunk, like, g, data, axis=axis),)
 
     return _from_op(data, (a,), backward, "log_softmax", 5 * a.size)
 
@@ -573,17 +841,24 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm scale/shift must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    # One mean and one centring; the variance divides as ``ndarray.var`` does,
-    # so the bits equal ``a.data.var(axis=-1)``.
-    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
-    var = np.square(xhat).sum(axis=-1, keepdims=True)
-    np.true_divide(var, np.intp(d), out=var, casting="unsafe")
-    var += eps
-    inv = 1.0 / np.sqrt(var, out=var)
-    xhat *= inv
-    data = gamma.data * xhat
-    data += beta.data
-    gamma_data = gamma.data
+    x, gamma_data, beta_data = a.data, gamma.data, beta.data
+
+    def forward(r, xhat=None, inv=None, out=None):
+        # One mean and one centring; the variance divides as ``ndarray.var``
+        # does, so the bits equal ``x.var(axis=-1)``.
+        xr = x[r]
+        xhat = np.subtract(xr, xr.mean(axis=-1, keepdims=True), out=xhat)
+        var = np.square(xhat).sum(axis=-1, keepdims=True)
+        np.true_divide(var, np.intp(d), out=var, casting="unsafe")
+        var += eps
+        inv = np.divide(1.0, np.sqrt(var, out=var), out=inv)
+        xhat *= inv
+        out = np.multiply(gamma_data, xhat, out=out)
+        out += beta_data
+        return xhat, inv, out
+
+    like = [(x.shape, x.dtype), (x.shape[:-1] + (1,), x.dtype), (x.shape, _result_dtype(gamma_data, x))]
+    xhat, inv, data = _rowwise(forward, like, x, axis=-1)
     lead = tuple(range(a.ndim - 1))
 
     def backward(g):
@@ -593,10 +868,15 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if beta.requires_grad:
             dbeta = g.sum(axis=lead)
         if a.requires_grad:
-            dxhat = g * gamma_data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            ga = (dxhat - m1 - xhat * m2) * inv
+
+            def chunk(r, ga=None):
+                xh = xhat[r]
+                dxhat = g[r] * gamma_data
+                m1 = dxhat.mean(axis=-1, keepdims=True)
+                m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
+                return np.multiply(dxhat - m1 - xh * m2, inv[r], out=ga)
+
+            ga = _rowwise(chunk, [(g.shape, _result_dtype(g, gamma_data))], g, xhat, axis=-1)
         return ga, dgamma, dbeta
 
     return _from_op(data, (a, gamma, beta), backward, "layer_norm", 8 * a.size)
@@ -646,12 +926,12 @@ def conv3d(
     if tiled:
         # Windows tile the input: im2col is a reshape + transpose of x (a view at unit stride).
         tiles = x.data.reshape(b, to, kt, ho, kh, wo, kw, cin).transpose(0, 1, 3, 5, 2, 4, 6, 7)
-        win_mat = np.ascontiguousarray(tiles.reshape(m, kt * kh * kw * cin))
+        win_mat = _contiguous(tiles).reshape(m, kt * kh * kw * cin)
     else:
         xp = np.pad(x.data, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0))) if pt or ph or pw else x.data
         win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
         win = win[:, ::st, ::sh, ::sw]  # (B, to, ho, wo, Cin, kt, kh, kw)
-        win = np.ascontiguousarray(win.transpose(0, 1, 2, 3, 5, 6, 7, 4))
+        win = _contiguous(win.transpose(0, 1, 2, 3, 5, 6, 7, 4))
         win_mat = win.reshape(m, kt * kh * kw * cin)
     data = (win_mat @ k_mat).reshape(b, to, ho, wo, cout)
     flops = 2 * data.size * kt * kh * kw * cin
@@ -665,7 +945,7 @@ def conv3d(
         if x.requires_grad and tiled:
             # Each input element sits in exactly one window: col2im is the inverse transpose.
             gx = (g_mat @ k_mat.T).reshape(b, to, ho, wo, kt, kh, kw, cin)
-            gx = gx.transpose(0, 1, 4, 2, 5, 3, 6, 7).reshape(b, t, h, w, cin)
+            gx = _contiguous(gx.transpose(0, 1, 4, 2, 5, 3, 6, 7)).reshape(b, t, h, w, cin)
         elif x.requires_grad:
             gxp = np.zeros((b, tp, hp, wp, cin), dtype=g.dtype)
             for i in range(kt):

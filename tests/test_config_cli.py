@@ -280,6 +280,16 @@ class TestCliEvalAndInspect:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("pair", ["0:9", "1:1"])
+    def test_inspect_rejects_unknown_or_self_pair(self, trained_run, pair, capsys):
+        """An unknown dataset id, or a dataset paired with itself, is one line and exit 1."""
+        code = main(
+            ["inspect-projections", "--checkpoint", str(trained_run / "checkpoint_6.mttn"), "--pair", pair]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --pair {pair}: needs two different dataset ids in 0..1"]
+
     def test_inspect_refuses_bankless_mode(self, tiny_ini, tmp_path):
         out = tmp_path / "vrun"
         assert main(
@@ -350,6 +360,14 @@ class TestCliAblate:
         assert (out / "full_seed1" / "report.csv").exists()
         assert (out / "vanilla_seed1" / "metrics.ndjson").exists()
 
+    def test_ablate_rejects_non_integer_seed(self, tiny_ini, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["ablate", "--config", tiny_ini, "--out", str(out), "--seeds", "1,x"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --seeds must be comma-separated integers, got '1,x'"]
+        assert not out.exists()  # refused before the run directory is made
+
     def test_ablate_rejects_empty_seeds(self, tiny_ini, tmp_path):
         code = main(["ablate", "--config", tiny_ini, "--out", str(tmp_path / "x"), "--seeds", " "])
         assert code == 1
@@ -370,6 +388,15 @@ class TestCliDumpDataset:
         assert set(a["key"] for a in index) == set(arrays)
         assert arrays["aster/train/00000"].shape == (4, 8, 8, 1)
         assert arrays["aster/train/00000"].dtype == np.float32
+
+    def test_dump_rejects_negative_limit(self, tiny_ini, tmp_path, capsys):
+        """``--limit -1`` used to slice off the last clip of every dataset."""
+        out = tmp_path / "dump"
+        code = main(["dump-dataset", "--config", tiny_ini, "--out", str(out), "--limit", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --limit must be 0 (whole split) or a positive count, got -1"]
+        assert not out.exists()
 
     def test_dump_test_split_uses_offset_ids(self, tiny_ini, tmp_path):
         out = tmp_path / "dump"
@@ -393,3 +420,44 @@ class TestCliGradcheck:
         code = main(["gradcheck", "--threshold-scale", "1e-12"])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestMallocPinning:
+    """``main`` pins glibc's malloc thresholds, as the benchmark's environment does."""
+
+    def _pin(self, monkeypatch, libc_version, result):
+        """Run ``_pin_malloc`` against a fake C library whose mallopt returns ``result``."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        libc = type("FakeLibc", (), {})()
+        libc.mallopt = mallopt
+        monkeypatch.setattr(cli.os, "confstr", lambda name: libc_version)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._pin_malloc()
+        return calls
+
+    def test_sets_mmap_and_trim_thresholds_on_glibc(self, monkeypatch, capsys):
+        calls = self._pin(monkeypatch, "glibc 2.36", 1)
+        assert calls == [(-3, 1 << 30), (-1, -1)]  # M_MMAP_THRESHOLD 1 GiB, M_TRIM_THRESHOLD never
+        assert capsys.readouterr().err == ""
+
+    def test_a_refused_setting_is_one_warning_line_each(self, monkeypatch, capsys):
+        assert len(self._pin(monkeypatch, "glibc 2.36", 0)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: mallopt(M_MMAP_THRESHOLD, 1073741824) failed; glibc's default applies",
+            "warning: mallopt(M_TRIM_THRESHOLD, -1) failed; glibc's default applies",
+        ]
+
+    def test_other_c_libraries_are_left_alone(self, monkeypatch):
+        assert self._pin(monkeypatch, None, 1) == []
+
+    def test_main_pins_before_running_a_command(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "_pin_malloc", lambda: calls.append("pinned"))
+        assert main(["dump-dataset", "--out", str(tmp_path / "d"), "--limit", "-1"]) == 1
+        assert calls == ["pinned"]

@@ -1,13 +1,17 @@
-"""Trained bits do not depend on the BLAS thread count, across processes.
+"""Trained bits do not depend on the BLAS thread count or on the CPUs a process may use, across processes.
 
 The tile-exact conv3d and the Linear layers issue single large GEMMs, which is
 where OpenBLAS may split work across threads; a split that changed the order
-of a reduction would change the parameters.
+of a reduction would change the parameters.  The tensor ops split their large
+kernels across a pool with one worker per CPU in the affinity mask; a block
+boundary that changed any element's arithmetic would do the same.
 """
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,18 +32,70 @@ for name, p in state.model.named_parameters():
 print(h.hexdigest())
 """
 
+# Three steps of the benchmark's wide-clip workload (32x32 clips, widths 32/64):
+# its attention scores, MLP activations and batched products are far above the
+# split size.  With argv[1] == "1" the process first restricts itself to one
+# CPU, before cotrain is imported.  Prints the parameter hash, the hash of one
+# batch of eval logits, the pool's worker count and how many ops reached it.
+WIDE_CLIP_HASHES = """
+import hashlib, os, sys
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cotrain import tensor
+from cotrain.config import RunConfig
+from cotrain.tensor import Tensor, no_grad
+from cotrain.trainer import TrainState, train_steps
 
-def _param_hash(blas_threads: int) -> str:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+calls = []
+split = tensor._split
+def counting_split(chunk, rows, like):
+    calls.append(rows)
+    return split(chunk, rows, like)
+tensor._split = counting_split
+
+overrides = ["train.mode=vanilla", "backbone.input_h=32", "backbone.input_w=32", "backbone.stage_dims=32,64"]
+cfg = RunConfig.load(None, overrides)
+state = TrainState.create(
+    cfg.backbone_config(), cfg.suite(), cfg.train_config(), cfg.loss_config(), cfg.hash()
+)
+train_steps(state, 3, lambda step, lr, report: None)
+params = hashlib.sha256()
+for name, p in state.model.named_parameters():
+    params.update(name.encode())
+    params.update(p.data.tobytes())
+clips, _ = state.suite.split_arrays(0, "test")
+with no_grad():
+    logits = state.model.heads(0, state.model.backbone(Tensor(clips[:64]))).data
+print(params.hexdigest(), hashlib.sha256(logits.tobytes()).hexdigest(), tensor._workers, len(calls))
+"""
+
+
+def _run(script: str, *args: str, **env_overrides: str) -> str:
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
-        [sys.executable, "-c", TRAIN_AND_HASH], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
 def test_parameters_match_across_blas_thread_counts():
-    one, two = _param_hash(1), _param_hash(2)
+    one = _run(TRAIN_AND_HASH, OPENBLAS_NUM_THREADS="1")
+    two = _run(TRAIN_AND_HASH, OPENBLAS_NUM_THREADS="2")
     assert len(one) == 64
     assert one == two
+
+
+def test_parameters_and_logits_match_on_one_cpu():
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available on this platform")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs at least 2 CPUs in the affinity mask to compare against 1")
+    params, logits, workers, calls = _run(WIDE_CLIP_HASHES, "0", OPENBLAS_NUM_THREADS="1").split()
+    one_params, one_logits, one_workers, one_calls = _run(
+        WIDE_CLIP_HASHES, "1", OPENBLAS_NUM_THREADS="1"
+    ).split()
+    assert int(workers) >= 2 and int(calls) > 0  # the unrestricted run did split
+    assert int(one_workers) == 1
+    assert (one_params, one_logits) == (params, logits)

@@ -1,5 +1,10 @@
 """Forward semantics of the tensor ops: values, shapes, dtypes, errors."""
 
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -281,3 +286,216 @@ class TestBitwisePins:
         assert out.dtype == gx.dtype == np.float32
         npt.assert_array_equal(out, ref)
         npt.assert_array_equal(gx, ref_gx)
+
+
+# -- the worker pool ----------------------------------------------------------
+# Large ops split their kernels into blocks of leading-axis rows across a
+# thread pool.  Every output and gradient must be bitwise identical with the
+# pool on and off, for any worker count, and must keep the layout numpy gives.
+
+
+_POOLS = {}
+
+
+def _use_pool(workers):
+    """Point the tensor module at a pool of ``workers`` threads, whatever the CPU count.
+
+    Each pool starts once and is reused, so the tests leave at most a few idle
+    daemon threads behind.
+    """
+    if workers not in _POOLS:
+        T._forget_pool()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(T, "_cpu_count", lambda: workers)
+            T._pool_workers()
+        _POOLS[workers] = (T._tasks, T._workers)
+    T._tasks, T._workers = _POOLS[workers]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _restore_pool():
+    yield
+    T._forget_pool()  # the next large op starts a pool sized by the affinity mask
+
+
+def _rows_over_split(lead, inner):
+    """Rows per leading index so that ``(lead, rows, inner)`` holds at least SPLIT_SIZE elements."""
+    return -(-T.SPLIT_SIZE // (lead * inner)) + 1
+
+
+def _split_cases(lead):
+    """``name -> (op, shapes)``, every op's largest array above SPLIT_SIZE."""
+    m = _rows_over_split(lead, 64)
+    s = int(np.ceil(np.sqrt(T.SPLIT_SIZE / (lead * 2))))  # attention scores (lead, 2, s, s)
+    hw = 2 * int(np.ceil(np.sqrt(T.SPLIT_SIZE / (lead * 4 * 8)) / 2))  # (lead, 4, hw, hw, 8)
+    hw_win = int(np.ceil(np.sqrt(T.SPLIT_SIZE / (lead * 2 * 4 * 27))))  # 27 windows per output
+    return {
+        "gelu": (T.gelu, [(lead, m, 64)]),
+        "softmax": (lambda x: T.softmax(x, axis=-1), [(lead, m, 64)]),
+        "softmax_axis0": (lambda x: T.softmax(x, axis=0), [(lead, m, 64)]),
+        "log_softmax_axis1": (lambda x: T.log_softmax(x, axis=1), [(lead, m, 64)]),
+        "layer_norm": (T.layer_norm, [(lead, m, 64), (64,), (64,)]),
+        "matmul_weight": (T.matmul, [(lead, m, 64), (64, 32)]),
+        "matmul_batched": (T.matmul, [(lead, 2, s, 16), (lead, 2, 16, s)]),
+        "matmul_broadcast_batch": (T.matmul, [(1, m, 64), (lead, 64, 32)]),
+        "add_bias": (T.add, [(lead, m, 64), (64,)]),
+        "sub_broadcast_lead": (T.sub, [(lead, m, 64), (1, m, 64)]),
+        "mul": (T.mul, [(lead, m, 64), (lead, m, 64)]),
+        "div": (lambda x, y: x / (y * y + 1.0), [(lead, m, 64), (lead, m, 64)]),
+        "reused_input": (lambda x: x * x + x, [(lead, m, 64)]),
+        "conv3d_tiled": (lambda x, k: T.conv3d(x, k, stride=(2, 2, 2)), [(lead, 4, hw, hw, 8), (2, 2, 2, 8, 8)]),
+        "conv3d_window": (
+            lambda x, k: T.conv3d(x, k, padding=(1, 1, 1)),
+            [(lead, 2, hw_win, hw_win, 4), (3, 3, 3, 4, 4)],
+        ),
+    }
+
+
+def _forward_and_grads(op, arrays):
+    """The output of ``op`` and the gradient of every input under a fixed upstream weight."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    weight = np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape).astype(out.dtype)
+    (out * Tensor(weight)).sum().backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [1, 2, 3, 17])
+@pytest.mark.parametrize("case", sorted(_split_cases(1)))
+def test_split_ops_are_bitwise_equal_to_unsplit(case, lead, dtype, workers, monkeypatch):
+    _use_pool(workers)
+    monkeypatch.setattr(T, "_SPLIT_GEMMS", True)  # as under OPENBLAS_NUM_THREADS=1
+    op, shapes = _split_cases(lead)[case]
+    rng = np.random.default_rng(abs(hash((case, lead))) % 2**32)
+    arrays = [(rng.standard_normal(shape) * 2.0).astype(dtype) for shape in shapes]
+    splits = []
+    real_split = T._split
+
+    def counting_split(chunk, rows, like):
+        splits.append(rows)
+        return real_split(chunk, rows, like)
+
+    monkeypatch.setattr(T, "_split", counting_split)
+    split = _forward_and_grads(op, arrays)
+    with monkeypatch.context() as m:
+        m.setattr(T, "SPLIT_SIZE", 1 << 62)
+        whole = _forward_and_grads(op, arrays)
+    if lead > 1:
+        assert splits, "no op reached the pool"
+    for got, want in zip(split, whole):
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "env,one",
+    [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"GOTO_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "4"}, False),
+    ],
+)
+def test_stacked_matmuls_split_only_on_single_threaded_blas(env, one, monkeypatch):
+    """OpenBLAS takes the first of these variables that is set, as ``_blas_on_one_thread`` does."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert T._blas_on_one_thread() is one
+
+
+def test_noncontiguous_operands_keep_numpy_layout(monkeypatch):
+    """Row kernels split only C-contiguous arrays; others run whole, in numpy's layout.
+
+    With a transposed upstream gradient, layer_norm's input gradient once came
+    out in a different memory order than the whole-array expression gives it,
+    and that changed the summation order of a later bias gradient.
+    """
+    _use_pool(2)
+    monkeypatch.setattr(T, "_SPLIT_GEMMS", True)
+    rng = np.random.default_rng(7)
+    n = _rows_over_split(8, 64)
+    x = rng.standard_normal((8, 64, n)).astype(np.float32).transpose(0, 2, 1)  # (8, n, 64)
+    g = rng.standard_normal((8, 64, n)).astype(np.float32).transpose(0, 2, 1)
+    gamma, beta = np.ones(64, np.float32), np.zeros(64, np.float32)
+    for op, arrays in (
+        (T.layer_norm, [x, gamma, beta]),
+        (lambda t: T.softmax(t, axis=-1), [x]),
+        (T.gelu, [x]),
+        (T.matmul, [x, rng.standard_normal((64, 64)).astype(np.float32)]),
+    ):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(T, "SPLIT_SIZE", 1 << 62)
+            whole = _taped(op, arrays, g)
+        split = _taped(op, arrays, g)
+        for got, want in zip((split[0], *split[1]), (whole[0], *whole[1])):
+            assert got.strides == want.strides
+            assert np.array_equal(got, want)
+
+
+def test_concurrent_callers_share_the_pool():
+    """Callers on several threads split ops on one pool of more workers than cores.
+
+    Each split hands out its blocks through a shared counter and collects them
+    through a queue.  A lost block would leave rows of an output uninitialised
+    and a block handed to the wrong call would write another op's rows, so
+    every result is compared with the unsplit one.
+    """
+    _use_pool(4)
+    rng = np.random.default_rng(11)
+    inputs = [rng.standard_normal((17, _rows_over_split(17, 64), 64)).astype(np.float32) for _ in range(3)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "SPLIT_SIZE", 1 << 62)
+        expected = [T.softmax(T.gelu(Tensor(x))).data for x in inputs]
+    failures = []
+
+    def work(i):
+        for _ in range(5):
+            if not np.array_equal(T.softmax(T.gelu(Tensor(inputs[i]))).data, expected[i]):
+                failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 3,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+
+
+def test_large_op_in_forked_child_after_parent_used_pool():
+    """A forked child starts its own pool; the parent's helper threads do not exist there.
+
+    The parent's pool has 3 workers whatever the CPU count, so a child that
+    kept it instead of sizing a new one from its affinity mask fails.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    _use_pool(3)
+    x = Tensor(np.linspace(-3.0, 3.0, 4 * T.SPLIT_SIZE).reshape(16, -1))
+    expected = T.gelu(x).data
+    assert T._tasks is not None  # the parent's pool is running
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(target=_gelu_matches_in_child, args=(x.data, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("forked child did not finish a split op within 60 s")
+    assert child.exitcode == 0
+
+
+def _gelu_matches_in_child(data, expected):
+    ok = np.array_equal(T.gelu(Tensor(data)).data, expected) and T._workers == T._cpu_count()
+    os._exit(0 if ok else 1)
