@@ -12,21 +12,22 @@ float64 throughout.
 The heavy kernels (gelu, softmax and log_softmax, layer_norm, stacked matmul,
 elementwise arithmetic and gradient sums, conv3d's im2col/col2im copies)
 split their work across a thread pool with one worker per CPU in the process's
-affinity mask, the calling thread included.  The pool starts on first use and
-is rebuilt in a forked child.  An op splits when its largest array holds at
-least ``SPLIT_SIZE`` elements: its leading-axis rows are cut into one
-contiguous block per worker, and the caller and the helper threads claim
-blocks until none is left.  Smaller ops run their kernel once over the whole
-array, in the caller.  No split crosses a reduced axis or changes the shape of
-a BLAS call: row-wise kernels split only C-contiguous arrays along an axis
-they do not reduce, matmul splits only along a batch axis numpy already loops
-over (2-D GEMMs stay whole, and so do all GEMMs unless the environment gives
-OpenBLAS a single thread), and the reductions that sum over rows
-(``_unbroadcast``, layer_norm's scale and shift gradients) run whole in the
-caller.  Every element therefore comes from the same numpy or BLAS call on
-the same data, every output has the layout numpy gives it, and trained bits
-are identical for any worker count.  Blocks call only numpy and scipy, never
-another op, so the tape and ``count_ops`` do not see the pool.
+affinity mask, the calling thread included, and at most ``MAX_WORKERS``: the
+split size was measured on 2 CPUs only, and how it behaves on more is
+unverified.  The pool starts on first use and is rebuilt in a forked child.
+An op splits when its largest array holds at least ``SPLIT_SIZE`` elements:
+its leading-axis rows are cut into one contiguous block per worker, and the
+caller and the helper threads claim blocks until none is left.  Smaller ops
+run their kernel once over the whole array, in the caller.  No split crosses
+a reduced axis or changes the shape of a BLAS call: row-wise kernels split
+only C-contiguous arrays along an axis they do not reduce, matmul splits only
+along a batch axis numpy already loops over (2-D GEMMs stay whole), and the
+reductions that sum over rows (``_unbroadcast``, layer_norm's scale and shift
+gradients) run whole in the caller.  Every element therefore comes from the
+same numpy or BLAS call on the same data, every output has the layout and
+dtype numpy gives it, and trained bits are identical for any worker count.
+Blocks call only numpy and scipy, never another op, so the tape and
+``count_ops`` do not see the pool.
 """
 from __future__ import annotations
 
@@ -106,6 +107,12 @@ class count_ops:
 # and none at 2^18.  Waking a helper costs 80-280 us there, so smaller ops lose.
 SPLIT_SIZE = 1 << 18
 
+# Most threads a pool runs, the caller included.  Every timing behind
+# SPLIT_SIZE came from 2 CPUs.  On 64, an op of SPLIT_SIZE elements would cut
+# into 64 blocks of 4096, each paying a helper's wake-up, and no worker count
+# above 2 was measured.  Raise this only with a measurement on more CPUs.
+MAX_WORKERS = 2
+
 _tasks: Optional[queue.SimpleQueue] = None
 _workers = 0  # 0 until the first large op starts the pool
 _pool_lock = threading.Lock()
@@ -129,7 +136,7 @@ def _pool_workers() -> int:
     if not _workers:
         with _pool_lock:
             if not _workers:
-                n = _cpu_count()
+                n = min(_cpu_count(), MAX_WORKERS)
                 if n > 1:
                     _tasks = queue.SimpleQueue()
                     for i in range(n - 1):
@@ -238,24 +245,6 @@ def _binary(op: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _split(chunk, rows, [(shape, _result_dtype(x, y))])
 
 
-def _blas_on_one_thread() -> bool:
-    """Whether the environment gives OpenBLAS one thread (it reads these variables at load).
-
-    Stacked matmuls split only then.  A multithreaded BLAS already spreads each
-    GEMM over the cores, and splitting on top of it made default_full's eval
-    28 % slower on 2 cores (208.7 ms against 162.9 ms with the other kernels
-    split and the matmuls whole).
-    """
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value:
-            return value == "1"
-    return False
-
-
-_SPLIT_GEMMS = _blas_on_one_thread()
-
-
 def _c_ordered_batch(arr: np.ndarray) -> bool:
     """Whether the batch axes of a matmul operand lie in C order in memory."""
     strides = [abs(s) for s, n in zip(arr.strides[:-2], arr.shape[:-2]) if n > 1]
@@ -267,13 +256,12 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     numpy runs a stacked product as one GEMM per matrix, so a block of batch
     rows issues exactly the GEMMs the whole call would.  A 2-D product stays
-    one call, and so does every product while BLAS runs its own threads.  The
-    output may hold more elements than either operand (``q @ k^T``); the size
-    test bounds it from below without building its shape, as the test runs
-    for every product.  Below ``SPLIT_SIZE`` the call is ``np.matmul(x, y)``
-    itself, as in :func:`_binary`.
+    one call.  The output may hold more elements than either operand
+    (``q @ k^T``); the size test bounds it from below without building its
+    shape, as the test runs for every product.  Below ``SPLIT_SIZE`` the call
+    is ``np.matmul(x, y)`` itself, as in :func:`_binary`.
     """
-    if _SPLIT_GEMMS and (x.ndim > 2 or y.ndim > 2):
+    if x.ndim > 2 or y.ndim > 2:
         m, n = x.shape[-2], y.shape[-1]
         size = max(x.size, y.size, x.size // max(x.shape[-1], 1) * n, y.size // max(y.shape[-2], 1) * m)
         if size >= SPLIT_SIZE and _c_ordered_batch(x) and _c_ordered_batch(y):
@@ -786,7 +774,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
-    like = [(x.shape, x.dtype)]
 
     def forward(r, out=None):
         xr = x[r]
@@ -795,7 +782,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         out /= out.sum(axis=axis, keepdims=True)
         return out
 
-    data = _rowwise(forward, like, x, axis=axis)
+    data = _rowwise(forward, [(x.shape, x.dtype)], x, axis=axis)
 
     def backward(g):
         def chunk(r, ga=None):
@@ -805,14 +792,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             ga *= d
             return ga
 
-        return (_rowwise(chunk, like, g, data, axis=axis),)
+        return (_rowwise(chunk, [(x.shape, _result_dtype(g, data))], g, data, axis=axis),)
 
     return _from_op(data, (a,), backward, "softmax", 5 * a.size)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
-    like = [(x.shape, x.dtype)]
 
     def forward(r, out=None):
         xr = x[r]
@@ -820,14 +806,14 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         return np.subtract(shifted, lse, out=out)
 
-    data = _rowwise(forward, like, x, axis=axis)
+    data = _rowwise(forward, [(x.shape, x.dtype)], x, axis=axis)
 
     def backward(g):
         def chunk(r, ga=None):
             gr = g[r]
             return np.subtract(gr, np.exp(data[r]) * gr.sum(axis=axis, keepdims=True), out=ga)
 
-        return (_rowwise(chunk, like, g, data, axis=axis),)
+        return (_rowwise(chunk, [(x.shape, _result_dtype(g, data))], g, data, axis=axis),)
 
     return _from_op(data, (a,), backward, "log_softmax", 5 * a.size)
 
@@ -876,7 +862,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                 m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
                 return np.multiply(dxhat - m1 - xh * m2, inv[r], out=ga)
 
-            ga = _rowwise(chunk, [(g.shape, _result_dtype(g, gamma_data))], g, xhat, axis=-1)
+            dtype = np.result_type(g, gamma_data, xhat)
+            ga = _rowwise(chunk, [(g.shape, dtype)], g, xhat, axis=-1)
         return ga, dgamma, dbeta
 
     return _from_op(data, (a, gamma, beta), backward, "layer_norm", 8 * a.size)

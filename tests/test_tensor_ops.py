@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -298,7 +299,7 @@ _POOLS = {}
 
 
 def _use_pool(workers):
-    """Point the tensor module at a pool of ``workers`` threads, whatever the CPU count.
+    """Point the tensor module at a pool of ``workers`` threads, whatever the CPU count and cap.
 
     Each pool starts once and is reused, so the tests leave at most a few idle
     daemon threads behind.
@@ -307,6 +308,7 @@ def _use_pool(workers):
         T._forget_pool()
         with pytest.MonkeyPatch.context() as m:
             m.setattr(T, "_cpu_count", lambda: workers)
+            m.setattr(T, "MAX_WORKERS", workers)
             T._pool_workers()
         _POOLS[workers] = (T._tasks, T._workers)
     T._tasks, T._workers = _POOLS[workers]
@@ -351,25 +353,33 @@ def _split_cases(lead):
     }
 
 
-def _forward_and_grads(op, arrays):
-    """The output of ``op`` and the gradient of every input under a fixed upstream weight."""
+def _forward_and_grads(op, arrays, mixed=False):
+    """The output of ``op`` and the gradient of every input under a fixed upstream weight.
+
+    With ``mixed`` the output's own backward rule also gets a float64
+    gradient directly, as the tape never hands one to a float32 node, and
+    its results are returned too.
+    """
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(*leaves)
-    weight = np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape).astype(out.dtype)
-    (out * Tensor(weight)).sum().backward()
-    return [out.data] + [leaf.grad for leaf in leaves]
+    rule = out._backward_fn
+    weight = np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape)
+    (out * Tensor(weight.astype(out.dtype))).sum().backward()
+    direct = [g for g in rule(weight) if g is not None] if mixed else []
+    return [out.data] + [leaf.grad for leaf in leaves] + direct
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", ["float32", "float64", "mixed"])
 @pytest.mark.parametrize("lead", [1, 2, 3, 17])
 @pytest.mark.parametrize("case", sorted(_split_cases(1)))
 def test_split_ops_are_bitwise_equal_to_unsplit(case, lead, dtype, workers, monkeypatch):
+    """``mixed``: the first input float32, the others and the upstream gradient float64."""
     _use_pool(workers)
-    monkeypatch.setattr(T, "_SPLIT_GEMMS", True)  # as under OPENBLAS_NUM_THREADS=1
     op, shapes = _split_cases(lead)[case]
-    rng = np.random.default_rng(abs(hash((case, lead))) % 2**32)
-    arrays = [(rng.standard_normal(shape) * 2.0).astype(dtype) for shape in shapes]
+    rng = np.random.default_rng(zlib.crc32(f"{case}-{lead}".encode()))
+    dtypes = [np.float32] + [np.float64] * (len(shapes) - 1) if dtype == "mixed" else [dtype] * len(shapes)
+    arrays = [(rng.standard_normal(shape) * 2.0).astype(dt) for shape, dt in zip(shapes, dtypes)]
     splits = []
     real_split = T._split
 
@@ -378,38 +388,49 @@ def test_split_ops_are_bitwise_equal_to_unsplit(case, lead, dtype, workers, monk
         return real_split(chunk, rows, like)
 
     monkeypatch.setattr(T, "_split", counting_split)
-    split = _forward_and_grads(op, arrays)
+    split = _forward_and_grads(op, arrays, dtype == "mixed")
     with monkeypatch.context() as m:
         m.setattr(T, "SPLIT_SIZE", 1 << 62)
-        whole = _forward_and_grads(op, arrays)
+        whole = _forward_and_grads(op, arrays, dtype == "mixed")
     if lead > 1:
         assert splits, "no op reached the pool"
+    assert len(split) == len(whole)
     for got, want in zip(split, whole):
         assert got.dtype == want.dtype and got.strides == want.strides
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "env,one",
-    [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-        ({"GOTO_NUM_THREADS": "1"}, True),
-        ({"OMP_NUM_THREADS": "1"}, True),
-        ({"OMP_NUM_THREADS": "4"}, False),
-    ],
-)
-def test_stacked_matmuls_split_only_on_single_threaded_blas(env, one, monkeypatch):
-    """OpenBLAS takes the first of these variables that is set, as ``_blas_on_one_thread`` does."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert T._blas_on_one_thread() is one
+def test_layer_norm_input_gradient_takes_the_dtype_of_its_expression():
+    """float64 data under a float32 scale and gradient: the input gradient is float64 split or not."""
+    _use_pool(2)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, _rows_over_split(4, 64), 64))
+    gamma, beta = (1.0 + rng.standard_normal((2, 64)) / 10).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+
+    def input_gradient():
+        out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta))
+        return out._backward_fn(g)[0]
+
+    split = input_gradient()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "SPLIT_SIZE", 1 << 62)
+        whole = input_gradient()
+    assert split.dtype == whole.dtype == np.float64
+    assert np.array_equal(split, whole)
 
 
-def test_noncontiguous_operands_keep_numpy_layout(monkeypatch):
+def test_pool_runs_at_most_max_workers(monkeypatch):
+    """A wide affinity mask still gets MAX_WORKERS threads: no larger count was measured."""
+    T._forget_pool()
+    monkeypatch.setattr(T, "_cpu_count", lambda: 64)
+    assert T._pool_workers() == T.MAX_WORKERS
+    monkeypatch.setattr(T, "_cpu_count", lambda: 1)
+    T._forget_pool()
+    assert T._pool_workers() == 1 and T._tasks is None
+
+
+def test_noncontiguous_operands_keep_numpy_layout():
     """Row kernels split only C-contiguous arrays; others run whole, in numpy's layout.
 
     With a transposed upstream gradient, layer_norm's input gradient once came
@@ -417,7 +438,6 @@ def test_noncontiguous_operands_keep_numpy_layout(monkeypatch):
     and that changed the summation order of a later bias gradient.
     """
     _use_pool(2)
-    monkeypatch.setattr(T, "_SPLIT_GEMMS", True)
     rng = np.random.default_rng(7)
     n = _rows_over_split(8, 64)
     x = rng.standard_normal((8, 64, n)).astype(np.float32).transpose(0, 2, 1)  # (8, n, 64)
@@ -497,5 +517,6 @@ def test_large_op_in_forked_child_after_parent_used_pool():
 
 
 def _gelu_matches_in_child(data, expected):
-    ok = np.array_equal(T.gelu(Tensor(data)).data, expected) and T._workers == T._cpu_count()
+    workers = min(T._cpu_count(), T.MAX_WORKERS)
+    ok = np.array_equal(T.gelu(Tensor(data)).data, expected) and T._workers == workers
     os._exit(0 if ok else 1)
