@@ -84,7 +84,6 @@ class AliasEntry:
     src_class: int
     dst_dataset: int
     dst_class: int
-    sub_concept: bool = False
 
 
 class AliasMap:
@@ -105,14 +104,6 @@ class AliasMap:
 
     def __iter__(self) -> Iterator[AliasEntry]:
         return iter(self.entries)
-
-
-@dataclass
-class VideoClip:
-    data: np.ndarray  # (T, H, W, C) float32 in [0, 1]
-    dataset_id: int
-    label: int
-    sample_id: int
 
 
 @dataclass
@@ -177,14 +168,6 @@ class SyntheticSuite:
         data = _render_clip(rng, concept, self.concept_count, spec.bias, self.clip_shape)
         self._cache[key] = data
         return data
-
-    def make_clip(self, dataset_id: int, sample_id: int) -> VideoClip:
-        return VideoClip(
-            data=self.clip(dataset_id, sample_id),
-            dataset_id=dataset_id,
-            label=self.label_of(dataset_id, sample_id),
-            sample_id=sample_id,
-        )
 
     def split_arrays(self, dataset_id: int, split: str) -> tuple[np.ndarray, np.ndarray]:
         """All clips and labels of one split, stacked."""

@@ -37,18 +37,6 @@ from .rng import Rng
 from .tensor import Tensor
 
 
-@dataclass
-class EmbeddingBatch:
-    """Backbone output ``z`` (B, d) and, when computed, the expanded ``z_exp``."""
-
-    z: Tensor
-    z_exp: Optional[Tensor] = None
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[-1]
-
-
 class Expander(Module):
     """Two-layer GELU MLP mapping embeddings to the space the regularizers see."""
 

@@ -21,10 +21,6 @@ class Rng:
         self.stream = int(stream) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
-    def child(self, stream: int) -> "Rng":
-        """A fresh stream under the same seed."""
-        return Rng(self.seed, stream)
-
     def normal(self, shape, std: float = 1.0, mean: float = 0.0) -> np.ndarray:
         return self._gen.normal(mean, std, size=shape)
 

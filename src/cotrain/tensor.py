@@ -9,6 +9,35 @@ is no higher-order differentiation.
 Data lives in row-major numpy arrays, float32 by default; gradient checks use
 float64 throughout.
 
+What a node costs.  Besides its numpy calls, every node pays a fixed Python
+cost: the op's wrapper, the output tensor, and its turn in the topological
+sort and the sweep.  The benchmark's small workloads are dispatch-bound (299
+nodes a step on default_full, about 480 on many_heads_full, most on arrays of
+a few thousand elements), so that cost is kept low.  Op outputs are built
+without ``Tensor.__init__``'s coercion; the sort marks nodes with a per-sweep
+number instead of keying a dict by ``id()`` and never visits leaves;
+reductions call ``np.add.reduce`` and ``np.maximum.reduce`` rather than the
+Python-level ``ndarray.sum``, ``max`` and ``mean`` wrappers; ``transpose``
+inverts its permutation in Python; and the binary ops and matmul read the
+operands' arrays directly when both are tensors.  On a 2-core Xeon VM (numpy
+2.4.6), a reshape node took about 1 us forward and 1 us more in the sweep,
+and a transpose 2.3 us forward, where ``np.argsort`` had made it 5.2 us.
+
+A speed-up of the tape must keep four things, or the benchmark's counts or
+the trained bits move:
+
+* the op call the tracer sees: every op runs through its module attribute
+  (``tensor.add``, ``tensor.matmul``, ...), which ``perfbench/tracing.py``
+  wraps to count and time it, including the ones ``Tensor``'s operators call;
+* each array's layout: numpy lays out an op's output and some gradients in
+  other than C order (a mean's input gradient, a transposed weight's
+  gradient), and the sums downstream of them run in that memory order;
+* each reduction's order: the same ufunc reduce over the same memory, as the
+  ``ndarray`` methods make it;
+* each gradient's accumulation order: the sweep visits the interior nodes in
+  the same post-order and adds each parent's gradients in that order, which
+  decides the bits of a tensor with several consumers.
+
 The heavy kernels (gelu, softmax and log_softmax, layer_norm, stacked matmul,
 elementwise arithmetic and gradient sums, conv3d's im2col/col2im copies)
 split their work across a thread pool with one worker per CPU in the process's
@@ -292,7 +321,7 @@ def _contiguous(src: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_swept")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_swept", "_mark")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -306,6 +335,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
         self._swept = False
+        self._mark = 0  # the sweep that last visited this node; see _topo_order
 
     # -- basic introspection ------------------------------------------------
 
@@ -415,17 +445,17 @@ class Tensor:
             raise GraphError("tape already consumed; run a new forward pass before backward")
 
         order = _topo_order(self)
-        self.grad = np.ones_like(self.data)
+        self.grad = np.ones(self.data.shape, dtype=self.data.dtype)
         for node in reversed(order):
             fn = node._backward_fn
-            if fn is None:
+            if fn is None:  # the root is itself a leaf
                 continue
-            grads = fn(node.grad)
-            for parent, g in zip(node._parents, grads):
+            for parent, g in zip(node._parents, fn(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
-                if g.dtype != parent.data.dtype:
-                    g = g.astype(parent.data.dtype)
+                dtype = parent.data.dtype
+                if g.dtype is not dtype and g.dtype != dtype:
+                    g = g.astype(dtype)
                 if parent.grad is None:
                     parent.grad = g
                 else:
@@ -436,29 +466,40 @@ class Tensor:
         self._swept = True
 
 
+# Each sweep takes the next even number: a node it has entered is marked with
+# that number, a node it has emitted with the number plus one, so every mark
+# below the current number means "not visited by this sweep".
+_sweep_marks = itertools.count(2, 2)
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order over grad-requiring ancestors (parents first)."""
+    """Iterative post-order over the interior nodes that lead to ``root`` (parents first).
+
+    Leaves (parameters and inputs) are never pushed: the sweep has nothing to
+    run for them, and skipping them leaves the order of the interior nodes as
+    a sweep over every grad-requiring ancestor would give it.
+    """
+    entered = next(_sweep_marks)
     order: list[Tensor] = []
-    state: dict[int, int] = {}
     stack = [root]
     while stack:
         node = stack[-1]
-        st = state.get(id(node))
-        if st is None:
-            if node is not root and node._swept:
-                raise GraphError(
-                    "graph shares nodes with an already-consumed tape; rebuild the forward pass"
-                )
-            state[id(node)] = 0
+        mark = node._mark
+        if mark < entered:
+            node._mark = entered
             for p in node._parents:
-                if p.requires_grad and state.get(id(p)) is None:
-                    stack.append(p)
-        elif st == 0:
-            stack.pop()
-            state[id(node)] = 1
-            order.append(node)
+                if p.requires_grad and p._mark < entered:
+                    if p._backward_fn is not None:
+                        stack.append(p)
+                    elif p._swept:
+                        raise GraphError(
+                            "graph shares nodes with an already-consumed tape; rebuild the forward pass"
+                        )
         else:
             stack.pop()
+            if mark == entered:
+                node._mark = entered + 1
+                order.append(node)
     return order
 
 
@@ -473,10 +514,31 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value))
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as tensors; a Python scalar takes the other's dtype."""
+    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
+    return a, _coerce(b, a.dtype)
+
+
+_new_tensor = object.__new__
+
+
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward, name: str, flops: int = 0) -> Tensor:
+    """The output node of an op, built without ``Tensor.__init__``'s coercion.
+
+    Op outputs are already float arrays of the dtype numpy gives them, except
+    that a ufunc or full reduction over 0-d operands returns a numpy scalar,
+    which is wrapped back into a 0-d array here.
+    """
     if _counter is not None:
         _counter.add(name, flops)
-    out = Tensor(data)
+    if type(data) is not np.ndarray:
+        data = np.asarray(data)
+    out = _new_tensor(Tensor)
+    out.data = data
+    out.grad = None
+    out._swept = False
+    out._mark = 0
     if _grad_enabled:
         # A plain loop: ``any()`` over a generator cost about 1 us per node.
         for p in parents:
@@ -484,7 +546,10 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward, name: str,
                 out.requires_grad = True
                 out._parents = parents
                 out._backward_fn = backward
-                break
+                return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward_fn = None
     return out
 
 
@@ -494,10 +559,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axes, None, None, True)
     return g
 
 
@@ -505,50 +570,56 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
-    b = _coerce(b, a.dtype)
-    data = _binary(np.add, a.data, b.data)
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _operands(a, b)
+    x, y = a.data, b.data
+    data = _binary(np.add, x, y)
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga = _unbroadcast(g, x.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, y.shape) if b.requires_grad else None
+        return ga, gb
 
     return _from_op(data, (a, b), backward, "add", data.size)
 
 
 def sub(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
-    b = _coerce(b, a.dtype)
-    data = _binary(np.subtract, a.data, b.data)
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _operands(a, b)
+    x, y = a.data, b.data
+    data = _binary(np.subtract, x, y)
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        ga = _unbroadcast(g, x.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g, y.shape) if b.requires_grad else None
+        return ga, gb
 
     return _from_op(data, (a, b), backward, "sub", data.size)
 
 
 def mul(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
-    b = _coerce(b, a.dtype)
-    data = _binary(np.multiply, a.data, b.data)
-    a_data, b_data = a.data, b.data
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _operands(a, b)
+    x, y = a.data, b.data
+    data = _binary(np.multiply, x, y)
 
     def backward(g):
-        ga = _unbroadcast(_binary(np.multiply, g, b_data), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(_binary(np.multiply, g, a_data), b.shape) if b.requires_grad else None
+        ga = _unbroadcast(_binary(np.multiply, g, y), x.shape) if a.requires_grad else None
+        gb = _unbroadcast(_binary(np.multiply, g, x), y.shape) if b.requires_grad else None
         return ga, gb
 
     return _from_op(data, (a, b), backward, "mul", data.size)
 
 
 def div(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
-    b = _coerce(b, a.dtype)
-    data = _binary(np.divide, a.data, b.data)
-    a_data, b_data = a.data, b.data
+    if type(a) is not Tensor or type(b) is not Tensor:
+        a, b = _operands(a, b)
+    x, y = a.data, b.data
+    data = _binary(np.divide, x, y)
 
     def backward(g):
-        ga = _unbroadcast(_binary(np.divide, g, b_data), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a_data / (b_data * b_data), b.shape) if b.requires_grad else None
+        ga = _unbroadcast(_binary(np.divide, g, y), x.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * x / (y * y), y.shape) if b.requires_grad else None
         return ga, gb
 
     return _from_op(data, (a, b), backward, "div", data.size)
@@ -648,18 +719,26 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = a.data.reshape(shape)
-    old_shape = a.shape
+    x = a.data
+    data = x.reshape(shape)
 
     def backward(g):
-        return (g.reshape(old_shape),)
+        return (g.reshape(x.shape),)
 
     return _from_op(data, (a,), backward, "reshape")
 
 
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    data = a.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes of ``a``; ``axes`` names every axis once, negative ones from the end."""
+    x = a.data
+    n = x.ndim
+    axes = _normalize_axes(tuple(axes), n)
+    if len(axes) != n:
+        raise ShapeError(f"transpose of a {n}-d tensor needs {n} axes, got {axes}")
+    data = x.transpose(axes)
+    inverse = [0] * n
+    for i, ax in enumerate(axes):
+        inverse[ax] = i
 
     def backward(g):
         return (g.transpose(inverse),)
@@ -672,17 +751,17 @@ def gather_rows(a: Tensor, index) -> Tensor:
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows needs a 1-d index, got shape {idx.shape}")
-    if a.ndim < 1:
+    x = a.data
+    if x.ndim < 1:
         raise ShapeError("gather_rows needs at least a 1-d operand")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= x.shape[0]):
         raise ShapeError(
-            f"gather_rows index out of range for leading extent {a.shape[0]}"
+            f"gather_rows index out of range for leading extent {x.shape[0]}"
         )
-    data = a.data[idx]
-    in_shape = a.shape
+    data = x[idx]
 
     def backward(g):
-        out = np.zeros(in_shape, dtype=g.dtype)
+        out = np.zeros(x.shape, dtype=g.dtype)
         np.add.at(out, idx, g)
         return (out,)
 
@@ -690,55 +769,78 @@ def gather_rows(a: Tensor, index) -> Tensor:
 
 
 # -- reductions ---------------------------------------------------------------
+#
+# Reductions call the ufunc's ``reduce`` with positional arguments: that is the
+# call ``ndarray.sum`` and ``ndarray.max`` make after their Python-level
+# wrappers, and a mean is that sum divided by ``np.intp(count)`` in place, as
+# ``ndarray.mean`` computes it, so the bits are those of the methods.
 
 
 def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
+    """Axes in ``[0, ndim)``; ``None`` means all.  Out of range or repeated raises ShapeError."""
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
         axis = (axis,)
-    axes = tuple(int(ax) % ndim if -ndim <= int(ax) < ndim else int(ax) for ax in axis)
-    for ax in axes:
-        if ax < 0 or ax >= ndim:
-            raise ShapeError(f"reduction axis {ax} out of range for {ndim}-d tensor")
+    axes = []
+    for ax in axis:
+        ax = int(ax)
+        pos = ax + ndim if ax < 0 else ax
+        if not 0 <= pos < ndim:
+            raise ShapeError(f"axis {ax} out of range for {ndim}-d tensor")
+        axes.append(pos)
     if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate reduction axes {axes}")
-    return axes
+        raise ShapeError(f"duplicate axes {tuple(axes)}")
+    return tuple(axes)
 
 
-def _reduction_setup(a: Tensor, axis):
-    axes = _normalize_axes(axis, a.ndim)
+def _reduction_setup(x: np.ndarray, axis):
+    """Normalized axes, the count of reduced elements and the shape with the axes kept."""
+    axes = _normalize_axes(axis, x.ndim)
+    shape = list(x.shape)
     count = 1
     for ax in axes:
-        extent = a.shape[ax]
+        extent = shape[ax]
         if extent == 0:
-            raise ShapeError(f"cannot reduce over empty axis {ax} in shape {a.shape}")
+            raise ShapeError(f"cannot reduce over empty axis {ax} in shape {x.shape}")
         count *= extent
-    return axes, count
+        shape[ax] = 1
+    return axes, count, tuple(shape)
+
+
+def _mean(x: np.ndarray, axis, count: int, keepdims: bool) -> np.ndarray:
+    """``x.mean(axis, keepdims=keepdims)`` as an array, also when it reduces to 0-d."""
+    total = np.add.reduce(x, axis, None, None, keepdims)
+    if type(total) is not np.ndarray:
+        total = np.asarray(total)
+    return np.true_divide(total, np.intp(count), out=total, casting="unsafe")
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes, _ = _reduction_setup(a, axis)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
-    in_shape = a.shape
+    x = a.data
+    axes, _, kept = _reduction_setup(x, axis)
+    data = np.add.reduce(x, axes, None, None, keepdims)
 
     def backward(g):
-        full = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(full, in_shape).copy(),)
+        out = np.empty(x.shape, dtype=g.dtype)
+        np.copyto(out, g if keepdims else g.reshape(kept))
+        return (out,)
 
-    return _from_op(data, (a,), backward, "sum", a.size)
+    return _from_op(data, (a,), backward, "sum", x.size)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes, count = _reduction_setup(a, axis)
-    data = a.data.mean(axis=axes, keepdims=keepdims)
-    in_shape = a.shape
+    x = a.data
+    axes, count, kept = _reduction_setup(x, axis)
+    data = _mean(x, axes, count, keepdims)
 
     def backward(g):
-        full = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(full / count, in_shape).astype(g.dtype),)
+        # ``astype`` of the broadcast view keeps the memory order it gives,
+        # which the gradients downstream of a mean over tokens depend on.
+        full = g if keepdims else g.reshape(kept)
+        return (np.broadcast_to(full / count, x.shape).astype(g.dtype),)
 
-    return _from_op(data, (a,), backward, "mean", a.size)
+    return _from_op(data, (a,), backward, "mean", x.size)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -747,26 +849,25 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise ContractError("matmul operands must be tensors")
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs 2-d or higher operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    x, y = a.data, b.data
+    if x.ndim < 2 or y.ndim < 2:
+        raise ShapeError(f"matmul needs 2-d or higher operands, got {x.shape} @ {y.shape}")
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {x.shape} @ {y.shape}")
     try:
-        data = _matmul(a.data, b.data)
+        data = _matmul(x, y)
     except ValueError as err:
-        raise ShapeError(f"matmul batch dims do not broadcast: {a.shape} @ {b.shape}") from err
-    a_data, b_data = a.data, b.data
-    flops = 2 * data.size * a.shape[-1]
+        raise ShapeError(f"matmul batch dims do not broadcast: {x.shape} @ {y.shape}") from err
 
     def backward(g):
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast(_matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
+            ga = _unbroadcast(_matmul(g, y.swapaxes(-1, -2)), x.shape)
         if b.requires_grad:
-            gb = _unbroadcast(_matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
+            gb = _unbroadcast(_matmul(x.swapaxes(-1, -2), g), y.shape)
         return ga, gb
 
-    return _from_op(data, (a, b), backward, "matmul", flops)
+    return _from_op(data, (a, b), backward, "matmul", 2 * data.size * x.shape[-1])
 
 
 # -- neural-net primitives ----------------------------------------------------
@@ -777,9 +878,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def forward(r, out=None):
         xr = x[r]
-        out = np.subtract(xr, xr.max(axis=axis, keepdims=True), out=out)
+        out = np.subtract(xr, np.maximum.reduce(xr, axis, None, None, True), out=out)
         np.exp(out, out=out)
-        out /= out.sum(axis=axis, keepdims=True)
+        out /= np.add.reduce(out, axis, None, None, True)
         return out
 
     data = _rowwise(forward, [(x.shape, x.dtype)], x, axis=axis)
@@ -787,14 +888,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         def chunk(r, ga=None):
             gr, d = g[r], data[r]
-            inner = (gr * d).sum(axis=axis, keepdims=True)
+            inner = np.add.reduce(gr * d, axis, None, None, True)
             ga = np.subtract(gr, inner, out=ga)
             ga *= d
             return ga
 
         return (_rowwise(chunk, [(x.shape, _result_dtype(g, data))], g, data, axis=axis),)
 
-    return _from_op(data, (a,), backward, "softmax", 5 * a.size)
+    return _from_op(data, (a,), backward, "softmax", 5 * x.size)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -802,8 +903,8 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def forward(r, out=None):
         xr = x[r]
-        shifted = xr - xr.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+        shifted = xr - np.maximum.reduce(xr, axis, None, None, True)
+        lse = np.log(np.add.reduce(np.exp(shifted), axis, None, None, True))
         return np.subtract(shifted, lse, out=out)
 
     data = _rowwise(forward, [(x.shape, x.dtype)], x, axis=axis)
@@ -811,30 +912,31 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         def chunk(r, ga=None):
             gr = g[r]
-            return np.subtract(gr, np.exp(data[r]) * gr.sum(axis=axis, keepdims=True), out=ga)
+            return np.subtract(gr, np.exp(data[r]) * np.add.reduce(gr, axis, None, None, True), out=ga)
 
         return (_rowwise(chunk, [(x.shape, _result_dtype(g, data))], g, data, axis=axis),)
 
-    return _from_op(data, (a,), backward, "log_softmax", 5 * a.size)
+    return _from_op(data, (a,), backward, "log_softmax", 5 * x.size)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale and shift."""
-    d = a.shape[-1] if a.ndim else 0
-    if d == 0:
-        raise ShapeError(f"layer_norm over an empty last axis, shape {a.shape}")
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(
-            f"layer_norm scale/shift must have shape ({d},), got {gamma.shape} and {beta.shape}"
-        )
     x, gamma_data, beta_data = a.data, gamma.data, beta.data
+    shape = x.shape
+    d = shape[-1] if shape else 0
+    if d == 0:
+        raise ShapeError(f"layer_norm over an empty last axis, shape {shape}")
+    if gamma_data.shape != (d,) or beta_data.shape != (d,):
+        raise ShapeError(
+            f"layer_norm scale/shift must have shape ({d},), got {gamma_data.shape} and {beta_data.shape}"
+        )
 
     def forward(r, xhat=None, inv=None, out=None):
         # One mean and one centring; the variance divides as ``ndarray.var``
         # does, so the bits equal ``x.var(axis=-1)``.
         xr = x[r]
-        xhat = np.subtract(xr, xr.mean(axis=-1, keepdims=True), out=xhat)
-        var = np.square(xhat).sum(axis=-1, keepdims=True)
+        xhat = np.subtract(xr, _mean(xr, -1, d, True), out=xhat)
+        var = np.add.reduce(np.square(xhat), -1, None, None, True)
         np.true_divide(var, np.intp(d), out=var, casting="unsafe")
         var += eps
         inv = np.divide(1.0, np.sqrt(var, out=var), out=inv)
@@ -843,30 +945,30 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         out += beta_data
         return xhat, inv, out
 
-    like = [(x.shape, x.dtype), (x.shape[:-1] + (1,), x.dtype), (x.shape, _result_dtype(gamma_data, x))]
+    like = [(shape, x.dtype), (shape[:-1] + (1,), x.dtype), (shape, _result_dtype(gamma_data, x))]
     xhat, inv, data = _rowwise(forward, like, x, axis=-1)
-    lead = tuple(range(a.ndim - 1))
 
     def backward(g):
         ga = dgamma = dbeta = None
+        lead = tuple(range(len(shape) - 1))
         if gamma.requires_grad:
-            dgamma = (g * xhat).sum(axis=lead)
+            dgamma = np.add.reduce(g * xhat, lead)
         if beta.requires_grad:
-            dbeta = g.sum(axis=lead)
+            dbeta = np.add.reduce(g, lead)
         if a.requires_grad:
 
             def chunk(r, ga=None):
                 xh = xhat[r]
                 dxhat = g[r] * gamma_data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
+                m1 = _mean(dxhat, -1, d, True)
+                m2 = _mean(dxhat * xh, -1, d, True)
                 return np.multiply(dxhat - m1 - xh * m2, inv[r], out=ga)
 
             dtype = np.result_type(g, gamma_data, xhat)
             ga = _rowwise(chunk, [(g.shape, dtype)], g, xhat, axis=-1)
         return ga, dgamma, dbeta
 
-    return _from_op(data, (a, gamma, beta), backward, "layer_norm", 8 * a.size)
+    return _from_op(data, (a, gamma, beta), backward, "layer_norm", 8 * x.size)
 
 
 def conv3d(
@@ -882,63 +984,63 @@ def conv3d(
     and a transpose of ``x`` around one GEMM each way; other shapes take the
     general sliding-window path.
     """
-    if x.ndim != 5:
-        raise ShapeError(f"conv3d input must be 5-d (B,T,H,W,C), got {x.shape}")
-    if kernel.ndim != 5:
-        raise ShapeError(f"conv3d kernel must be 5-d (kt,kh,kw,Cin,Cout), got {kernel.shape}")
-    kt, kh, kw, cin, cout = kernel.shape
-    if x.shape[-1] != cin:
+    xd, kd = x.data, kernel.data
+    if xd.ndim != 5:
+        raise ShapeError(f"conv3d input must be 5-d (B,T,H,W,C), got {xd.shape}")
+    if kd.ndim != 5:
+        raise ShapeError(f"conv3d kernel must be 5-d (kt,kh,kw,Cin,Cout), got {kd.shape}")
+    kt, kh, kw, cin, cout = kd.shape
+    b, t, h, w, c = xd.shape
+    if c != cin:
         raise ShapeError(
-            f"conv3d channel mismatch: input {x.shape} vs kernel {kernel.shape}"
+            f"conv3d channel mismatch: input {xd.shape} vs kernel {kd.shape}"
         )
     st, sh, sw = stride
     pt, ph, pw = padding
-    if min(st, sh, sw) < 1:
+    if st < 1 or sh < 1 or sw < 1:
         raise ConfigError(f"conv3d stride must be >= 1, got {stride}")
-    if min(pt, ph, pw) < 0:
+    if pt < 0 or ph < 0 or pw < 0:
         raise ConfigError(f"conv3d padding must be >= 0, got {padding}")
-    b, t, h, w, _ = x.shape
     tp, hp, wp = t + 2 * pt, h + 2 * ph, w + 2 * pw
     if kt > tp or kh > hp or kw > wp:
         raise ConfigError(
-            f"conv3d kernel {kernel.shape[:3]} larger than padded input ({tp},{hp},{wp})"
+            f"conv3d kernel {kd.shape[:3]} larger than padded input ({tp},{hp},{wp})"
         )
     to = (tp - kt) // st + 1
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
 
-    k_mat = kernel.data.reshape(kt * kh * kw * cin, cout)
+    k_mat = kd.reshape(kt * kh * kw * cin, cout)
     m = b * to * ho * wo
-    tiled = (kt, kh, kw) == (st, sh, sw) and not (pt or ph or pw) and (to * kt, ho * kh, wo * kw) == (t, h, w)
+    tiled = kt == st and kh == sh and kw == sw and not (pt or ph or pw) and to * kt == t and ho * kh == h and wo * kw == w
     if tiled:
         # Windows tile the input: im2col is a reshape + transpose of x (a view at unit stride).
-        tiles = x.data.reshape(b, to, kt, ho, kh, wo, kw, cin).transpose(0, 1, 3, 5, 2, 4, 6, 7)
+        tiles = xd.reshape(b, to, kt, ho, kh, wo, kw, cin).transpose(0, 1, 3, 5, 2, 4, 6, 7)
         win_mat = _contiguous(tiles).reshape(m, kt * kh * kw * cin)
     else:
-        xp = np.pad(x.data, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0))) if pt or ph or pw else x.data
+        xp = np.pad(xd, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0))) if pt or ph or pw else xd
         win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
         win = win[:, ::st, ::sh, ::sw]  # (B, to, ho, wo, Cin, kt, kh, kw)
         win = _contiguous(win.transpose(0, 1, 2, 3, 5, 6, 7, 4))
         win_mat = win.reshape(m, kt * kh * kw * cin)
-    data = (win_mat @ k_mat).reshape(b, to, ho, wo, cout)
+    data = np.matmul(win_mat, k_mat).reshape(b, to, ho, wo, cout)
     flops = 2 * data.size * kt * kh * kw * cin
-    k_data = kernel.data
 
     def backward(g):
         gx = gk = None
         g_mat = g.reshape(m, cout)
         if kernel.requires_grad:
-            gk = (win_mat.T @ g_mat).reshape(kt, kh, kw, cin, cout)
+            gk = np.matmul(win_mat.T, g_mat).reshape(kt, kh, kw, cin, cout)
         if x.requires_grad and tiled:
             # Each input element sits in exactly one window: col2im is the inverse transpose.
-            gx = (g_mat @ k_mat.T).reshape(b, to, ho, wo, kt, kh, kw, cin)
+            gx = np.matmul(g_mat, k_mat.T).reshape(b, to, ho, wo, kt, kh, kw, cin)
             gx = _contiguous(gx.transpose(0, 1, 4, 2, 5, 3, 6, 7)).reshape(b, t, h, w, cin)
         elif x.requires_grad:
             gxp = np.zeros((b, tp, hp, wp, cin), dtype=g.dtype)
             for i in range(kt):
                 for j in range(kh):
                     for l in range(kw):
-                        contrib = g @ k_data[i, j, l].T  # (B,to,ho,wo,Cin)
+                        contrib = np.matmul(g, kd[i, j, l].T)  # (B,to,ho,wo,Cin)
                         gxp[
                             :,
                             i : i + st * to : st,

@@ -20,7 +20,6 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .tensor import Tensor
 
 MAGIC = b"MTTN"
 VERSION = 1
@@ -102,8 +101,3 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         raise FormatError("trailing bytes after final entry", r.pos)
     return out
 
-
-def roundtrip(tensor: Tensor, path) -> Tensor:
-    """Serialize one tensor and read it back (bitwise identical)."""
-    save_arrays(path, {"tensor": tensor.data})
-    return Tensor(load_arrays(path)["tensor"])

@@ -5,9 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from cotrain import tensor as T
-from cotrain.errors import ContractError, GraphError
+from cotrain.config import RunConfig
+from cotrain.data import sample_mixed_batch
+from cotrain.errors import ContractError, GraphError, ShapeError
 from cotrain.gradcheck import finite_diff_check
+from cotrain.rng import Rng
 from cotrain.tensor import Tensor, no_grad
+from cotrain.trainer import TrainState, compute_step_loss
 
 
 def leaf(data):
@@ -169,3 +173,118 @@ def test_finite_diff_catches_wrong_gradient():
     x = Tensor(np.array([0.7, -1.3]))
     err = finite_diff_check(broken_square, x)
     assert err > 1e-2
+
+
+@pytest.mark.parametrize("axes", [(0, -1, 1), (-1, -3, -2), (2, 0, -2)])
+def test_transpose_with_negative_axes_matches_finite_differences(axes):
+    # Weights that differ everywhere, so a gradient sent to the wrong place shows.
+    x = Tensor(np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4))
+    w = Tensor(np.linspace(0.5, 3.0, 24).reshape(np.transpose(x.data, axes).shape))
+    leaf_x = leaf(x.data)
+    (T.transpose(leaf_x, axes) * w).sum().backward()
+    assert leaf_x.grad.shape == (2, 3, 4)
+    err = finite_diff_check(lambda v: (T.transpose(v, axes) * w).sum(), x)
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("axes", [(0, 1, 3), (0, -4, 1), (0, 0, 1), (0, -3, 2), (0, 1)])
+def test_transpose_rejects_bad_axes(axes):
+    with pytest.raises(ShapeError):
+        T.transpose(leaf(np.zeros((2, 3, 4))), axes)
+
+
+def _reference_sweep(root):
+    """The reverse sweep as first written: a dict keyed by ``id()`` for the
+    post-order over every grad-requiring ancestor, then one accumulation per
+    parent in that order.  Kept frozen, so the tape's sweep is held to its bits.
+    """
+    order, state, stack = [], {}, [root]
+    while stack:
+        node = stack[-1]
+        st = state.get(id(node))
+        if st is None:
+            state[id(node)] = 0
+            for p in node._parents:
+                if p.requires_grad and state.get(id(p)) is None:
+                    stack.append(p)
+        elif st == 0:
+            stack.pop()
+            state[id(node)] = 1
+            order.append(node)
+        else:
+            stack.pop()
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward_fn is None:
+            continue
+        for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+            if g is None or not parent.requires_grad:
+                continue
+            if g.dtype != parent.data.dtype:
+                g = g.astype(parent.data.dtype)
+            parent.grad = g if parent.grad is None else np.add(parent.grad, g)
+
+
+def _fan_out_graph():
+    """A float32 graph in which ``z`` feeds five consumers, as the backbone output
+    feeds every dataset's ``gather_rows`` and the expander; returns the loss, z
+    and the leaves."""
+    rng = np.random.default_rng(0)
+
+    def param(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    x, w0, w1, b1 = param(12, 6), param(6, 5), param(5, 7), param(7)
+    z = T.gelu(x @ w0)
+    terms = []
+    for idx in (np.array([0, 3, 4, 9]), np.array([1, 2, 7]), np.array([5, 6, 8, 10, 11]), np.array([2, 5])):
+        zk = T.gather_rows(z, idx)
+        terms.append(T.log_softmax(zk @ w1 + b1, axis=1).sum() / float(len(idx)))
+    expanded = z @ w1
+    terms.append((expanded * expanded).mean())
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = loss + term
+    return loss, z, (x, w0, w1, b1)
+
+
+def test_fan_out_gradient_is_bitwise_the_reference_sweep():
+    loss, z, leaves = _fan_out_graph()
+    loss.backward()
+    ref_loss, ref_z, ref_leaves = _fan_out_graph()
+    _reference_sweep(ref_loss)
+    assert z.grad.dtype == np.float32
+    assert z.grad.tobytes() == ref_z.grad.tobytes()
+    for got, want in zip(leaves, ref_leaves):
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def test_training_step_gradients_are_bitwise_the_reference_sweep():
+    cfg = RunConfig.load(None, [])
+    state = TrainState.create(cfg.backbone_config(), cfg.suite(), cfg.train_config(), cfg.loss_config())
+    batch = sample_mixed_batch(Rng(1, 7), 16, state.suite)
+    params = dict(state.model.named_parameters())
+    compute_step_loss(state.model, batch, state.config)[0].backward()
+    got = {name: p.grad for name, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    _reference_sweep(compute_step_loss(state.model, batch, state.config)[0])
+    assert got.keys() == {name for name, p in params.items() if p.grad is not None}
+    for name, p in params.items():
+        assert got[name].tobytes() == p.grad.tobytes(), name
+        assert got[name].strides == p.grad.strides, name
+
+
+def test_mean_gradient_keeps_the_broadcast_memory_order():
+    # The backbone's final mean over tokens hands its input a gradient in the
+    # layout ``np.broadcast_to(...).astype`` gives: the token axis innermost.
+    # A C-ordered copy has the same values, but the sums downstream of it then
+    # run in another order and change the trained bits.
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((4, 6, 5)).astype(np.float32), requires_grad=True)
+    w = rng.standard_normal((4, 5)).astype(np.float32)
+    (x.mean(axis=1) * w).sum().backward()
+    want = np.broadcast_to(w.reshape(4, 1, 5) / 6, (4, 6, 5)).astype(np.float32)
+    assert not want.flags.c_contiguous
+    assert x.grad.strides == want.strides
+    assert x.grad.tobytes() == want.tobytes()

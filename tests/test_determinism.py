@@ -1,11 +1,16 @@
 """Trained bits do not depend on the BLAS thread count or on the CPUs a process may use, across processes.
 
+Nor may a speed-up change them: every benchmark workload, trained to its
+horizon on seed 1, must reproduce the fingerprints recorded in
+``perfbench/baseline.json``.
+
 The tile-exact conv3d and the Linear layers issue single large GEMMs, which is
 where OpenBLAS may split work across threads; a split that changed the order
 of a reduction would change the parameters.  The tensor ops split their large
 kernels across a pool with one worker per CPU in the affinity mask; a block
 boundary that changed any element's arithmetic would do the same.
 """
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PERFBENCH = ROOT / "perfbench"
 
 TRAIN_AND_HASH = """
 import hashlib
@@ -70,6 +77,26 @@ print(params.hexdigest(), hashlib.sha256(logits.tobytes()).hexdigest(), tensor._
 """
 
 
+# Seed 1 of one benchmark workload (argv[2]), set up and trained to its
+# horizon as perfbench/harness.py does, hashed with the harness's own
+# functions.  argv[1] is the perfbench directory.
+WORKLOAD_FINGERPRINTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from harness import loss_hash, param_hash, set_up
+from workloads import WORKLOADS
+from cotrain import trainer
+
+workload = WORKLOADS[sys.argv[2]]
+cfg, state = set_up(workload, 1)
+reports = trainer.train_steps(state, workload.horizon)
+print(json.dumps({
+    "params_sha256": param_hash(state.model),
+    "losses_sha256": loss_hash([r.total for r in reports]),
+}))
+"""
+
+
 def _run(script: str, *args: str, **env_overrides: str) -> str:
     env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
@@ -99,3 +126,19 @@ def test_parameters_and_logits_match_on_one_cpu():
     assert int(workers) >= 2 and int(calls) > 0  # the unrestricted run did split
     assert int(one_workers) == 1
     assert (one_params, one_logits) == (params, logits)
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [
+        "default_full",
+        "many_heads_full",
+        pytest.param("wide_clip_vanilla", marks=pytest.mark.slow),
+    ],
+)
+def test_benchmark_fingerprints_match_the_baseline(workload):
+    # BLAS on one thread, as perfbench/run.py pins it when the baseline was recorded.
+    got = json.loads(_run(WORKLOAD_FINGERPRINTS, str(PERFBENCH), workload, OPENBLAS_NUM_THREADS="1"))
+    baseline = json.loads((PERFBENCH / "baseline.json").read_text())
+    want = baseline["workloads"][workload]["fingerprints"]["1"]
+    assert got == {key: want[key] for key in ("params_sha256", "losses_sha256")}

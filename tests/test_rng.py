@@ -24,11 +24,6 @@ def test_seeds_are_independent():
     assert not np.array_equal(a, b)
 
 
-def test_child_matches_direct_construction():
-    root = Rng(9, 0)
-    npt.assert_array_equal(root.child(5).normal((10,)), Rng(9, 5).normal((10,)))
-
-
 def test_truncated_normal_bounded():
     draws = Rng(3, 3).truncated_normal((10_000,), std=0.02)
     assert np.abs(draws).max() <= 0.04 + 1e-12

@@ -3,13 +3,11 @@
 import struct
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from cotrain.errors import ConfigError, FormatError
 from cotrain.rng import Rng
-from cotrain.tensor import Tensor
-from cotrain.tensor_io import MAGIC, load_arrays, roundtrip, save_arrays
+from cotrain.tensor_io import MAGIC, load_arrays, save_arrays
 
 
 @pytest.fixture
@@ -34,12 +32,6 @@ def test_roundtrip_bitwise(sample):
         assert loaded[name].dtype == arrays[name].dtype
         assert loaded[name].shape == arrays[name].shape
         assert loaded[name].tobytes() == arrays[name].tobytes()
-
-
-def test_tensor_roundtrip(tmp_path):
-    x = Tensor(Rng(5, 1).normal((6, 2)).astype(np.float32))
-    y = roundtrip(x, tmp_path / "t.mttn")
-    npt.assert_array_equal(x.data, y.data)
 
 
 def test_empty_mapping_roundtrips(tmp_path):
