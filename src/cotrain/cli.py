@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
-import os
 import shutil
 import sys
 import time
@@ -26,6 +24,7 @@ import numpy as np
 from .config import RunConfig, write_resolved
 from .data import DatasetRegistry
 from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .libc import mallopt
 from .losses import top_projection_pairs
 from .tensor_io import load_arrays, save_arrays
 from .trainer import (
@@ -130,15 +129,24 @@ def _write_report(path: Path, rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
+def _eval_settings(cfg: RunConfig) -> tuple[int, int]:
+    """``report.eval_every`` and ``report.eval_batch``; out-of-range values are a usage error."""
+    every, batch = cfg.get("report", "eval_every"), cfg.get("report", "eval_batch")
+    if every < 0:
+        raise ConfigError(f"report.eval_every must be 0 (final evaluation only) or a positive step count, got {every}")
+    if batch < 1:
+        raise ConfigError(f"report.eval_batch must be >= 1, got {batch}")
+    return every, batch
+
+
 def _run_training(cfg: RunConfig, out: Path, mode: Optional[str] = None, seed: Optional[int] = None):
     """Train one model per the config; returns (state, eval results)."""
+    eval_every, eval_batch = _eval_settings(cfg)
     suite = cfg.suite()
     train_cfg = cfg.train_config(mode=mode, seed=seed)
     state = TrainState.create(
         cfg.backbone_config(), suite, train_cfg, cfg.loss_config(), config_hash=cfg.hash()
     )
-    eval_every = cfg.get("report", "eval_every")
-    eval_batch = cfg.get("report", "eval_batch")
     ckpt_every = cfg.get("train", "checkpoint_every")
 
     metrics_path = out / "metrics.ndjson"
@@ -212,12 +220,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
+    _, eval_batch = _eval_settings(cfg)
     suite = cfg.suite()
     state = TrainState.create(
         cfg.backbone_config(), suite, cfg.train_config(), cfg.loss_config(), config_hash=cfg.hash()
     )
     _load_checkpoint(state, args.checkpoint)
-    results = evaluate(state.model, suite, batch_size=cfg.get("report", "eval_batch"))
+    results = evaluate(state.model, suite, batch_size=eval_batch)
     for spec in suite.specs:
         r = results[spec.id]
         print(f"{spec.name:<8} top1={_pct(r.top1):>8}  top5={_pct(r.top5):>8}  n={r.count}")
@@ -348,7 +357,7 @@ def cmd_dump_dataset(args) -> int:
     arrays = {}
     index = []
     for spec in suite.specs:
-        ids = suite.train_ids(spec.id) if args.split == "train" else suite.test_ids(spec.id)
+        ids = suite.split_ids(spec.id, args.split)
         if args.limit:
             ids = ids[: args.limit]
         for sid in ids:
@@ -395,17 +404,7 @@ def _pin_malloc() -> None:
     ("never trim", per mallopt(3)) where the benchmark's environment gives
     4 GiB.  Other C libraries are left alone.
     """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (AttributeError, ValueError, OSError):
-        return
-    libc = ctypes.CDLL(None)
-    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    libc.mallopt.restype = ctypes.c_int
-    for name, param, value in _MALLOPT:
-        if libc.mallopt(param, value) != 1:
-            print(f"warning: mallopt({name}, {value}) failed; glibc's default applies", file=sys.stderr)
+    mallopt(_MALLOPT)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

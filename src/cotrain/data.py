@@ -169,9 +169,17 @@ class SyntheticSuite:
         self._cache[key] = data
         return data
 
+    def split_ids(self, dataset_id: int, split: str) -> np.ndarray:
+        """Sample ids of the ``train`` or ``test`` split."""
+        if split == "train":
+            return self.train_ids(dataset_id)
+        if split == "test":
+            return self.test_ids(dataset_id)
+        raise ConfigError(f"split must be 'train' or 'test', got '{split}'")
+
     def split_arrays(self, dataset_id: int, split: str) -> tuple[np.ndarray, np.ndarray]:
         """All clips and labels of one split, stacked."""
-        ids = self.train_ids(dataset_id) if split == "train" else self.test_ids(dataset_id)
+        ids = self.split_ids(dataset_id, split)
         clips = np.stack([self.clip(dataset_id, int(i)) for i in ids])
         labels = np.array([self.label_of(dataset_id, int(i)) for i in ids], dtype=np.int64)
         return clips, labels

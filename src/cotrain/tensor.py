@@ -38,25 +38,53 @@ the trained bits move:
   the same post-order and adds each parent's gradients in that order, which
   decides the bits of a tensor with several consumers.
 
-The heavy kernels (gelu, softmax and log_softmax, layer_norm, stacked matmul,
-elementwise arithmetic and gradient sums, conv3d's im2col/col2im copies)
-split their work across a thread pool with one worker per CPU in the process's
-affinity mask, the calling thread included, and at most ``MAX_WORKERS``: the
-split size was measured on 2 CPUs only, and how it behaves on more is
-unverified.  The pool starts on first use and is rebuilt in a forked child.
-An op splits when its largest array holds at least ``SPLIT_SIZE`` elements:
-its leading-axis rows are cut into one contiguous block per worker, and the
-caller and the helper threads claim blocks until none is left.  Smaller ops
-run their kernel once over the whole array, in the caller.  No split crosses
-a reduced axis or changes the shape of a BLAS call: row-wise kernels split
-only C-contiguous arrays along an axis they do not reduce, matmul splits only
-along a batch axis numpy already loops over (2-D GEMMs stay whole), and the
-reductions that sum over rows (``_unbroadcast``, layer_norm's scale and shift
-gradients) run whole in the caller.  Every element therefore comes from the
-same numpy or BLAS call on the same data, every output has the layout and
-dtype numpy gives it, and trained bits are identical for any worker count.
-Blocks call only numpy and scipy, never another op, so the tape and
-``count_ops`` do not see the pool.
+The pool.  Work spreads across a thread pool with one worker per CPU in the
+process's affinity mask, the calling thread included, and at most
+``MAX_WORKERS``: the split size was measured on 2 CPUs only, and how the pool
+behaves on more is unverified.  The pool starts on first use and is rebuilt
+in a forked child.  It runs work at two granularities, through one piece of
+code (``_spread``): the caller and the helpers each claim the next unclaimed
+piece until none is left, and an error raised in any piece is re-raised in
+the caller.
+
+* Row blocks of one op.  The heavy kernels (gelu, softmax and log_softmax,
+  layer_norm, stacked matmul, elementwise arithmetic and gradient sums,
+  conv3d's im2col/col2im copies) split when their largest array holds at
+  least ``SPLIT_SIZE`` elements: the leading-axis rows are cut into one
+  contiguous block per worker.  Smaller ops run their kernel once over the
+  whole array, in the caller.  No split crosses a reduced axis or changes the
+  shape of a BLAS call: row-wise kernels split only C-contiguous arrays along
+  an axis they do not reduce, matmul splits only along a batch axis numpy
+  already loops over (2-D GEMMs stay whole), and the reductions that sum over
+  rows (``_unbroadcast``, layer_norm's scale and shift gradients) run whole in
+  the caller.  Every element therefore comes from the same numpy or BLAS call
+  on the same data, every output has the layout and dtype numpy gives it, and
+  trained bits are identical for any worker count.  Blocks call only numpy
+  and scipy, never another op, so the tape and ``count_ops`` do not see them.
+* Whole items.  ``map_items(fn, items)`` runs independent items (the batches
+  of an evaluation) on the caller and the helpers.  Inside an item every op
+  runs whole, and a nested ``map_items`` runs its items in order: a
+  thread-local flag, set in the helpers for good and in the caller while it
+  runs items, keeps work from ever being queued twice.  An item's results are
+  therefore those of a serial loop, for any worker count.  Items see the
+  process-wide ``no_grad`` and ``count_ops`` state of the caller.  On a 2-core
+  Xeon VM, one evaluation of the benchmark's default_full took a median 72 ms
+  with whole items, against 87 ms when the caller's items split their large
+  ops (61 against 74 ms on many_heads_full).
+
+Two measured settings come with whole items, on that VM (Linux 6.18):
+
+* While items run, the caller and each helper are pinned to one CPU each of
+  the caller's affinity mask, and get the mask back afterwards.  Items spend
+  much of their time in Python, so the threads mostly hand the interpreter
+  lock to each other, and the kernel kept both on one CPU: in a benchmark run
+  of many_heads_full, 31 of 31 evaluations used one CPU's time (91-97 ms
+  each); pinned, 46 of 46 used 1.8 CPUs' time (61-66 ms).
+* Before the helpers start, glibc's malloc is limited to one arena
+  (``M_ARENA_MAX`` 1), so a helper allocates from the main heap.  With an
+  arena per thread, the helper's batch working set stayed resident beside the
+  main heap: peak RSS read 392 MB on wide_clip_vanilla, against 310 MB with
+  one arena.
 """
 from __future__ import annotations
 
@@ -70,6 +98,7 @@ import numpy as np
 from scipy import special as _special
 
 from .errors import ConfigError, ContractError, GraphError, ShapeError
+from .libc import mallopt
 
 DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -97,15 +126,17 @@ class no_grad:
 
 
 class OpCounter:
-    """Tallies forward operations and an approximate flop count."""
+    """Tallies forward operations and an approximate flop count, from any thread."""
 
     def __init__(self):
         self.ops: dict[str, int] = {}
         self.flops: int = 0
+        self._lock = threading.Lock()
 
     def add(self, name: str, flops: int) -> None:
-        self.ops[name] = self.ops.get(name, 0) + 1
-        self.flops += int(flops)
+        with self._lock:  # the items of ``map_items`` count from several threads
+            self.ops[name] = self.ops.get(name, 0) + 1
+            self.flops += int(flops)
 
 
 _counter: Optional[OpCounter] = None
@@ -144,7 +175,25 @@ MAX_WORKERS = 2
 
 _tasks: Optional[queue.SimpleQueue] = None
 _workers = 0  # 0 until the first large op starts the pool
+_helpers: tuple[int, ...] = ()  # the helper threads' native ids
 _pool_lock = threading.Lock()
+
+# glibc's mallopt parameter (malloc.h) and the value the pool sets before it
+# starts its helpers; see the module docstring.
+_ONE_ARENA = (("M_ARENA_MAX", -8, 1),)
+
+
+class _Inline(threading.local):
+    """Per-thread flag: work started on this thread runs here and queues nothing.
+
+    It is set for good in the helpers and, in the caller, for the length of
+    :func:`map_items`' items, so no work is ever queued from inside queued work.
+    """
+
+    on = False
+
+
+_inline = _Inline()
 
 
 def _cpu_count() -> int:
@@ -155,35 +204,112 @@ def _cpu_count() -> int:
 
 
 def _serve(tasks: queue.SimpleQueue) -> None:
+    _inline.on = True
     while True:
         tasks.get()()
 
 
 def _pool_workers() -> int:
     """Threads that run kernels, the caller included; starts the helpers on first use."""
-    global _tasks, _workers
+    global _tasks, _workers, _helpers
     if not _workers:
         with _pool_lock:
             if not _workers:
                 n = min(_cpu_count(), MAX_WORKERS)
                 if n > 1:
+                    mallopt(_ONE_ARENA)
                     _tasks = queue.SimpleQueue()
-                    for i in range(n - 1):
-                        threading.Thread(
-                            target=_serve, args=(_tasks,), name=f"cotrain-split-{i}", daemon=True
-                        ).start()
+                    helpers = [
+                        threading.Thread(target=_serve, args=(_tasks,), name=f"cotrain-split-{i}", daemon=True)
+                        for i in range(n - 1)
+                    ]
+                    for thread in helpers:
+                        thread.start()
+                    _helpers = tuple(thread.native_id for thread in helpers)
                 _workers = n
     return _workers
 
 
 def _forget_pool() -> None:
     """In a forked child the helper threads are gone; the next split starts new ones."""
-    global _tasks, _workers, _pool_lock
-    _tasks, _workers, _pool_lock = None, 0, threading.Lock()
+    global _tasks, _workers, _helpers, _pool_lock
+    _tasks, _workers, _helpers, _pool_lock = None, 0, (), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pin(threads: Sequence[int], cpu_sets: Sequence[set]) -> None:
+    """Give each thread id (0 is the calling thread) the matching CPU set; skip any the kernel refuses."""
+    for tid, cpus in zip(threads, cpu_sets):
+        try:
+            os.sched_setaffinity(tid, cpus)
+        except OSError:
+            pass
+
+
+def _spread(work: Callable[[int], None], n: int) -> None:
+    """Run ``work(i)`` for every ``i`` in ``range(n)`` on the caller and the helpers.
+
+    The pool must have at least two workers.  The caller queues one drain per
+    helper it can use, then drains too: each drain claims the next unclaimed
+    index until none is left.  A helper whose core was idle took 80-280 us to
+    wake on a 2-core Xeon VM, and the caller does not wait for one that has
+    not started.  It returns once every index has run, and then re-raises the
+    first error any of them raised, in the caller.
+    """
+    claim = itertools.count().__next__
+    done: queue.SimpleQueue = queue.SimpleQueue()
+
+    def drain():
+        while (i := claim()) < n:
+            try:
+                work(i)
+            except BaseException as err:  # re-raised in the caller
+                done.put(err)
+            else:
+                done.put(None)
+
+    for _ in range(min(n, _workers) - 1):
+        _tasks.put(drain)
+    drain()
+    errors = [err for err in (done.get() for _ in range(n)) if err is not None]
+    if errors:
+        raise errors[0]
+
+
+def map_items(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, the items spread across the pool, each run whole.
+
+    Every op inside an item runs whole on the thread that claimed the item, as
+    does a nested ``map_items``: a thread-local flag keeps ``_split`` and this
+    function from queuing work there.  With one item or one worker, or when
+    called from inside an item, the items run in order in the caller, and the
+    ops in them split as they would outside.  The items must be independent:
+    what one computes must not depend on which thread runs it, or when.
+    """
+    if len(items) < 2 or _inline.on or _pool_workers() < 2:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+
+    def work(i):
+        results[i] = fn(items[i])
+
+    # One CPU each for the caller and the helpers while the items run: left
+    # to itself, the kernel kept both on one CPU (see the module docstring).
+    threads = (0, *_helpers)
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    if mask:
+        _pin(threads, [{cpu} for cpu in sorted(mask)])
+    _inline.on = True
+    try:
+        _spread(work, len(items))
+    finally:
+        _inline.on = False
+        if mask:
+            _pin(threads, [mask] * len(threads))
+    return results
 
 
 def _split(chunk, rows: int, like: Sequence[tuple]):
@@ -191,42 +317,26 @@ def _split(chunk, rows: int, like: Sequence[tuple]):
 
     ``chunk(r, *outs)`` computes rows ``r`` (a slice, or ``...`` for all rows)
     and returns its output array(s), writing each into the matching ``outs``
-    argument when one is passed.  With one row or one worker ``chunk(...)``
-    runs once in the caller and numpy allocates the outputs.  Otherwise the
-    outputs are allocated here as C-contiguous arrays of the ``(shape,
-    dtype)`` pairs in ``like``, and the rows are cut into one contiguous block
-    per worker.  The caller and the helpers each claim the next unclaimed
-    block until none is left: a helper whose core was idle took 80-280 us to
-    wake on a 2-core Xeon VM, and the caller does not wait for one that has
-    not started.  Callers split only arrays whose outputs numpy would also
-    allocate C-contiguous, so the layout and every bit are the same whichever
-    thread runs a block, for any worker count.
+    argument when one is passed.  With one row or one worker, or inside an
+    item of :func:`map_items`, ``chunk(...)`` runs once in the caller and
+    numpy allocates the outputs.  Otherwise the outputs are allocated here as
+    C-contiguous arrays of the ``(shape, dtype)`` pairs in ``like``, and the
+    rows are cut into one contiguous block per worker, spread as
+    :func:`_spread` spreads any work.  Callers split only arrays whose outputs
+    numpy would also allocate C-contiguous, so the layout and every bit are
+    the same whichever thread runs a block, for any worker count.
     """
-    if rows < 2 or _pool_workers() < 2:
+    if rows < 2 or _inline.on or _pool_workers() < 2:
         return chunk(...)
     outs = [np.empty(shape, dtype=dtype) for shape, dtype in like]
     k = min(rows, _workers)
     bounds = [rows * i // k for i in range(k + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    claim = itertools.count().__next__
-    done: queue.SimpleQueue = queue.SimpleQueue()
 
-    def drain():
-        while (i := claim()) < k:
-            r = blocks[i]
-            try:
-                chunk(r, *(o[r] for o in outs))
-            except BaseException as err:  # re-raised in the caller
-                done.put(err)
-            else:
-                done.put(None)
+    def block(i):
+        r = slice(bounds[i], bounds[i + 1])
+        chunk(r, *(o[r] for o in outs))
 
-    for _ in range(k - 1):
-        _tasks.put(drain)
-    drain()
-    errors = [err for err in (done.get() for _ in range(k)) if err is not None]
-    if errors:
-        raise errors[0]
+    _spread(block, k)
     return outs[0] if len(outs) == 1 else outs
 
 

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .nn import Module
 from .optim import AdamW, lr_schedule
 from .rng import Rng
-from .tensor import Tensor, gather_rows, no_grad
+from .tensor import Tensor, gather_rows, map_items, no_grad
 from .tensor_io import load_arrays, save_arrays
 
 _STREAM_INIT = 1
@@ -270,24 +270,39 @@ def evaluate(
     split: str = "test",
     batch_size: int = 64,
 ) -> dict[int, EvalResult]:
-    """Per-dataset top-1/top-5 accuracy using each dataset's own head only."""
-    results: dict[int, EvalResult] = {}
+    """Per-dataset top-1/top-5 accuracy using each dataset's own head only.
+
+    Each dataset's split is cut into batches of ``batch_size`` clips in id
+    order, the last one shorter.  The batches of every dataset are spread
+    across the tensor pool as independent items, each stacking its own clips
+    from the suite's cache, so every batch's logits are those a serial loop
+    over the same batches would give, for any worker count.
+    """
+    if batch_size < 1:
+        raise ConfigError(f"eval batch size must be >= 1, got {batch_size}")
+    batches = []  # (dataset id, sample ids)
+    for spec in suite.specs:
+        ids = suite.split_ids(spec.id, split)
+        batches += [(spec.id, ids[start : start + batch_size]) for start in range(0, len(ids), batch_size)]
+
+    def hits(batch) -> tuple[int, int]:
+        k, ids = batch
+        clips = np.stack([suite.clip(k, int(i)) for i in ids])
+        truth = np.array([suite.label_of(k, int(i)) for i in ids], dtype=np.int64)
+        logits = model.heads(k, model.backbone(Tensor(clips))).data
+        order = np.argsort(-logits, axis=1)
+        top5 = order[:, : min(5, logits.shape[1])]
+        return int((order[:, 0] == truth).sum()), int((top5 == truth[:, None]).any(axis=1).sum())
+
     with no_grad():
-        for spec in suite.specs:
-            clips, labels = suite.split_arrays(spec.id, split)
-            hits1 = hits5 = 0
-            for start in range(0, len(labels), batch_size):
-                chunk = clips[start : start + batch_size]
-                truth = labels[start : start + batch_size]
-                z = model.backbone(Tensor(chunk))
-                logits = model.heads(spec.id, z).data
-                order = np.argsort(-logits, axis=1)
-                hits1 += int((order[:, 0] == truth).sum())
-                top5 = order[:, : min(5, logits.shape[1])]
-                hits5 += int((top5 == truth[:, None]).any(axis=1).sum())
-            n = len(labels)
-            results[spec.id] = EvalResult(top1=hits1 / n, top5=hits5 / n, count=n)
-    return results
+        counts = map_items(hits, batches)
+    totals = {spec.id: [0, 0, 0] for spec in suite.specs}
+    for (k, ids), (hits1, hits5) in zip(batches, counts):
+        total = totals[k]
+        total[0] += hits1
+        total[1] += hits5
+        total[2] += len(ids)
+    return {k: EvalResult(top1=h1 / n, top5=h5 / n, count=n) for k, (h1, h5, n) in totals.items()}
 
 
 # -- checkpointing ------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cotrain import cli
+from cotrain import libc as libc_module
 from cotrain.cli import main
 from cotrain.config import SCHEMA, RunConfig, write_resolved
 from cotrain.errors import ConfigError
@@ -231,6 +232,26 @@ class TestCliTrain:
         ]
         assert [r for r in records if r["kind"] == "eval"] == expected
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("report.eval_batch=-4", "report.eval_batch must be >= 1, got -4"),
+            ("report.eval_batch=0", "report.eval_batch must be >= 1, got 0"),
+            (
+                "report.eval_every=-3",
+                "report.eval_every must be 0 (final evaluation only) or a positive step count, got -3",
+            ),
+        ],
+    )
+    def test_bad_eval_setting_is_refused_before_training(self, tiny_ini, tmp_path, monkeypatch, capsys, setting, message):
+        """One line and exit 1, and no step runs: ``eval_batch=-4`` had reported top-1 0.0 for every dataset."""
+        steps = []
+        monkeypatch.setattr(cli, "train_steps", lambda *args: steps.append(args))
+        out = tmp_path / "run"
+        assert main(["train", "--config", tiny_ini, "--out", str(out), "--set", setting]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert steps == []
+
 
 class TestCliEvalAndInspect:
     @pytest.fixture()
@@ -256,6 +277,12 @@ class TestCliEvalAndInspect:
         out = capsys.readouterr().out
         assert "projection aster (0) -> briar (1)" in out
         assert "alias agreement:" in out
+
+    def test_eval_refuses_a_bad_batch_size(self, trained_run, tiny_ini, capsys):
+        checkpoint = str(trained_run / "checkpoint_6.mttn")
+        code = main(["eval", "--config", tiny_ini, "--checkpoint", checkpoint, "--set", "report.eval_batch=0"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: report.eval_batch must be >= 1, got 0"]
 
     def test_inspect_single_pair_with_clamp(self, trained_run, capsys):
         code = main(
@@ -435,8 +462,8 @@ class TestMallocPinning:
 
         libc = type("FakeLibc", (), {})()
         libc.mallopt = mallopt
-        monkeypatch.setattr(cli.os, "confstr", lambda name: libc_version)
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(libc_module.os, "confstr", lambda name: libc_version)
+        monkeypatch.setattr(libc_module.ctypes, "CDLL", lambda name: libc)
         cli._pin_malloc()
         return calls
 

@@ -295,25 +295,6 @@ class TestBitwisePins:
 # pool on and off, for any worker count, and must keep the layout numpy gives.
 
 
-_POOLS = {}
-
-
-def _use_pool(workers):
-    """Point the tensor module at a pool of ``workers`` threads, whatever the CPU count and cap.
-
-    Each pool starts once and is reused, so the tests leave at most a few idle
-    daemon threads behind.
-    """
-    if workers not in _POOLS:
-        T._forget_pool()
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(T, "_cpu_count", lambda: workers)
-            m.setattr(T, "MAX_WORKERS", workers)
-            T._pool_workers()
-        _POOLS[workers] = (T._tasks, T._workers)
-    T._tasks, T._workers = _POOLS[workers]
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _restore_pool():
     yield
@@ -373,9 +354,9 @@ def _forward_and_grads(op, arrays, mixed=False):
 @pytest.mark.parametrize("dtype", ["float32", "float64", "mixed"])
 @pytest.mark.parametrize("lead", [1, 2, 3, 17])
 @pytest.mark.parametrize("case", sorted(_split_cases(1)))
-def test_split_ops_are_bitwise_equal_to_unsplit(case, lead, dtype, workers, monkeypatch):
+def test_split_ops_are_bitwise_equal_to_unsplit(case, lead, dtype, workers, monkeypatch, use_pool):
     """``mixed``: the first input float32, the others and the upstream gradient float64."""
-    _use_pool(workers)
+    use_pool(workers)
     op, shapes = _split_cases(lead)[case]
     rng = np.random.default_rng(zlib.crc32(f"{case}-{lead}".encode()))
     dtypes = [np.float32] + [np.float64] * (len(shapes) - 1) if dtype == "mixed" else [dtype] * len(shapes)
@@ -400,9 +381,9 @@ def test_split_ops_are_bitwise_equal_to_unsplit(case, lead, dtype, workers, monk
         assert np.array_equal(got, want)
 
 
-def test_layer_norm_input_gradient_takes_the_dtype_of_its_expression():
+def test_layer_norm_input_gradient_takes_the_dtype_of_its_expression(use_pool):
     """float64 data under a float32 scale and gradient: the input gradient is float64 split or not."""
-    _use_pool(2)
+    use_pool(2)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, _rows_over_split(4, 64), 64))
     gamma, beta = (1.0 + rng.standard_normal((2, 64)) / 10).astype(np.float32)
@@ -430,14 +411,14 @@ def test_pool_runs_at_most_max_workers(monkeypatch):
     assert T._pool_workers() == 1 and T._tasks is None
 
 
-def test_noncontiguous_operands_keep_numpy_layout():
+def test_noncontiguous_operands_keep_numpy_layout(use_pool):
     """Row kernels split only C-contiguous arrays; others run whole, in numpy's layout.
 
     With a transposed upstream gradient, layer_norm's input gradient once came
     out in a different memory order than the whole-array expression gives it,
     and that changed the summation order of a later bias gradient.
     """
-    _use_pool(2)
+    use_pool(2)
     rng = np.random.default_rng(7)
     n = _rows_over_split(8, 64)
     x = rng.standard_normal((8, 64, n)).astype(np.float32).transpose(0, 2, 1)  # (8, n, 64)
@@ -458,7 +439,7 @@ def test_noncontiguous_operands_keep_numpy_layout():
             assert np.array_equal(got, want)
 
 
-def test_concurrent_callers_share_the_pool():
+def test_concurrent_callers_share_the_pool(use_pool):
     """Callers on several threads split ops on one pool of more workers than cores.
 
     Each split hands out its blocks through a shared counter and collects them
@@ -466,7 +447,7 @@ def test_concurrent_callers_share_the_pool():
     and a block handed to the wrong call would write another op's rows, so
     every result is compared with the unsplit one.
     """
-    _use_pool(4)
+    use_pool(4)
     rng = np.random.default_rng(11)
     inputs = [rng.standard_normal((17, _rows_over_split(17, 64), 64)).astype(np.float32) for _ in range(3)]
     with pytest.MonkeyPatch.context() as m:
@@ -493,7 +474,7 @@ def test_concurrent_callers_share_the_pool():
     assert failures == []
 
 
-def test_large_op_in_forked_child_after_parent_used_pool():
+def test_large_op_in_forked_child_after_parent_used_pool(use_pool):
     """A forked child starts its own pool; the parent's helper threads do not exist there.
 
     The parent's pool has 3 workers whatever the CPU count, so a child that
@@ -501,7 +482,7 @@ def test_large_op_in_forked_child_after_parent_used_pool():
     """
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    _use_pool(3)
+    use_pool(3)
     x = Tensor(np.linspace(-3.0, 3.0, 4 * T.SPLIT_SIZE).reshape(16, -1))
     expected = T.gelu(x).data
     assert T._tasks is not None  # the parent's pool is running
@@ -520,3 +501,156 @@ def _gelu_matches_in_child(data, expected):
     workers = min(T._cpu_count(), T.MAX_WORKERS)
     ok = np.array_equal(T.gelu(Tensor(data)).data, expected) and T._workers == workers
     os._exit(0 if ok else 1)
+
+
+# -- whole items on the pool ----------------------------------------------------
+# ``map_items`` spreads independent items across the same pool; every op inside
+# an item runs whole, so the results are those of a serial loop.
+
+
+class _HelperError(Exception):
+    pass
+
+
+def _items_on_two_threads(fn):
+    """``fn`` wrapped so that the caller's first item waits until a helper has started one.
+
+    Without the wait a fast caller can run every item before a helper wakes.
+    """
+    helper_started = threading.Event()
+    main = threading.get_ident()
+
+    def wrapped(item):
+        if threading.get_ident() == main:
+            assert helper_started.wait(timeout=30), "no helper claimed an item"
+        else:
+            helper_started.set()
+        return fn(item)
+
+    return wrapped
+
+
+def _large_chain(x):
+    return T.softmax(T.gelu(Tensor(x))).data
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_map_items_matches_a_serial_loop(count, workers, use_pool):
+    use_pool(workers)
+    rng = np.random.default_rng(count)
+    items = [rng.standard_normal((4, _rows_over_split(4, 64), 64)).astype(np.float32) for _ in range(count)]
+    expected = [_large_chain(x) for x in items]
+    got = T.map_items(_large_chain, items)
+    assert len(got) == count
+    for g, e in zip(got, expected):
+        assert g.strides == e.strides and np.array_equal(g, e)
+    assert not T._inline.on
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_helper_error_reaches_the_caller_and_the_pool_still_works(workers, use_pool):
+    use_pool(workers)
+    main = threading.get_ident()
+
+    def fail_on_helper(i):
+        if threading.get_ident() != main:
+            raise _HelperError(f"item {i}")
+        return i
+
+    with pytest.raises(_HelperError):
+        T.map_items(_items_on_two_threads(fail_on_helper), [0, 1])
+    assert not T._inline.on
+    assert T.map_items(_items_on_two_threads(lambda i: i * i), list(range(6))) == [0, 1, 4, 9, 16, 25]
+    x = np.linspace(-3.0, 3.0, 4 * T.SPLIT_SIZE, dtype=np.float32).reshape(16, -1)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "SPLIT_SIZE", 1 << 62)
+        whole = T.gelu(Tensor(x)).data
+    assert np.array_equal(T.gelu(Tensor(x)).data, whole)  # ops still split on the pool
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_item_runs_large_ops_and_nested_items_inline(workers, use_pool, monkeypatch):
+    """Work is queued once, for the items: neither a large op nor a nested call inside one queues more."""
+    use_pool(workers)
+    spreads = []
+    real_spread = T._spread
+
+    def counting_spread(work, n):
+        spreads.append(n)
+        return real_spread(work, n)
+
+    monkeypatch.setattr(T, "_spread", counting_spread)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, _rows_over_split(4, 64), 64)).astype(np.float32)
+    flags = []
+
+    def item(i):
+        flags.append(T._inline.on)
+        return _large_chain(x), T.map_items(lambda j: _large_chain(x[j]), [0, 1])
+
+    results = T.map_items(_items_on_two_threads(item), [0, 1, 2])
+    assert spreads == [3]
+    assert flags == [True, True, True]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "SPLIT_SIZE", 1 << 62)
+        whole = _large_chain(x)
+        nested = [_large_chain(x[0]), _large_chain(x[1])]
+    for chain, inner in results:
+        assert np.array_equal(chain, whole)
+        assert all(np.array_equal(a, b) for a, b in zip(inner, nested))
+    spreads.clear()
+    T.map_items(_large_chain, [x])  # one item runs in the caller, where its ops split as outside
+    assert spreads and not T._inline.on
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity calls on this platform")
+def test_items_run_on_one_cpu_per_thread_and_the_mask_comes_back(use_pool):
+    use_pool(2)
+    mask = os.sched_getaffinity(0)
+
+    def cpus(i):
+        if i:
+            raise _HelperError("the masks come back after an error too")
+        return os.sched_getaffinity(0)
+
+    seen = T.map_items(_items_on_two_threads(lambda i: os.sched_getaffinity(0)), [0, 1])
+    if len(mask) >= 2:
+        assert all(len(s) == 1 for s in seen) and seen[0] != seen[1]
+    with pytest.raises(_HelperError):
+        T.map_items(cpus, [0, 1])
+    assert os.sched_getaffinity(0) == mask
+    assert all(os.sched_getaffinity(tid) == mask for tid in T._helpers)
+
+
+def test_concurrent_callers_share_the_pool_for_items(use_pool):
+    """Callers on several threads spread items on one pool of more workers than cores.
+
+    Each call hands out its items through its own counter and collects them
+    through its own queue, so every call must get back exactly its own
+    results, in order.
+    """
+    use_pool(4)
+    rng = np.random.default_rng(13)
+    inputs = [rng.standard_normal((4, _rows_over_split(4, 64), 64)).astype(np.float32) for _ in range(3)]
+    expected = [_large_chain(x) for x in inputs]
+    failures = []
+
+    def work(i):
+        for _ in range(3):
+            got = T.map_items(lambda j: (j, _large_chain(inputs[j])), [i, (i + 1) % 3, i])
+            if [j for j, _ in got] != [i, (i + 1) % 3, i] or not all(np.array_equal(g, expected[j]) for j, g in got):
+                failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 3,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []

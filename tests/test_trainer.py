@@ -8,9 +8,10 @@ from cotrain.backbone import BackboneConfig, StageConfig
 from cotrain.data import generate_synthetic_suite
 from cotrain.errors import ConfigError, NumericError
 from cotrain.optim import AdamW
-from cotrain.tensor import Tensor
+from cotrain.tensor import Tensor, no_grad
 from cotrain.trainer import (
     MODES,
+    EvalResult,
     TrainConfig,
     TrainState,
     build_model,
@@ -219,6 +220,86 @@ class TestEvaluate:
         state = TrainState.create(tiny_backbone(), suite, tiny_config())
         results = evaluate(state.model, suite, split="train")
         assert all(r.count == 12 for r in results.values())
+
+
+class _Recording:
+    """Calls ``module`` and keeps each call's arguments and output."""
+
+    def __init__(self, module):
+        self.module = module
+        self.calls = []
+
+    def __call__(self, *args):
+        out = self.module(*args)
+        self.calls.append((args, out))
+        return out
+
+
+def _serial_eval(model, suite, batch_size):
+    """Own-head logits per ``(dataset id, batch clips)`` and the accuracies, batch after batch in one loop."""
+    logits, results = {}, {}
+    with no_grad():
+        for spec in suite.specs:
+            clips, labels = suite.split_arrays(spec.id, "test")
+            hits1 = hits5 = 0
+            for start in range(0, len(labels), batch_size):
+                chunk, truth = clips[start : start + batch_size], labels[start : start + batch_size]
+                out = model.heads(spec.id, model.backbone(Tensor(chunk))).data
+                logits[spec.id, chunk.tobytes()] = out
+                order = np.argsort(-out, axis=1)
+                hits1 += int((order[:, 0] == truth).sum())
+                hits5 += int((order[:, :5] == truth[:, None]).any(axis=1).sum())
+            results[spec.id] = EvalResult(hits1 / len(labels), hits5 / len(labels), len(labels))
+    return logits, results
+
+
+class TestEvaluateOnThePool:
+    """``evaluate`` spreads its batches across the tensor pool; logits and results match a serial loop."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "datasets, batch_size",
+        [
+            (2, 5),  # 5, 5, 2 clips per dataset: an uneven last batch
+            (2, 1),
+            (2, 12),  # one whole batch per dataset
+            (1, 64),  # one batch in all: it runs in the caller
+        ],
+    )
+    def test_logits_and_results_match_a_serial_loop(self, datasets, batch_size, workers, use_pool):
+        use_pool(workers)
+        suite = generate_synthetic_suite(
+            5,
+            num_datasets=datasets,
+            class_counts=[6] * datasets,
+            train_sizes=[12] * datasets,
+            test_sizes=[12] * datasets,
+            clip_shape=TINY_SHAPE,
+        )
+        state = TrainState.create(tiny_backbone(), suite, tiny_config("vanilla"))
+        train_steps(state, 2)
+        model = state.model
+        expected_logits, expected = _serial_eval(model, suite, batch_size)
+        model.backbone, model.heads = backbone, heads = _Recording(model.backbone), _Recording(model.heads)
+        assert evaluate(model, suite, batch_size=batch_size) == expected
+        clips = {id(z): x.data.tobytes() for (x,), z in backbone.calls}
+        logits = {(k, clips[id(z)]): out.data for (k, z), out in heads.calls}
+        assert len(heads.calls) == len(expected_logits) == len(logits)
+        for key, want in expected_logits.items():
+            assert logits[key].dtype == want.dtype and np.array_equal(logits[key], want)
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one_is_refused(self, batch_size):
+        suite = tiny_suite()
+        state = TrainState.create(tiny_backbone(), suite, tiny_config())
+        with pytest.raises(ConfigError, match="batch size"):
+            evaluate(state.model, suite, batch_size=batch_size)
+
+    def test_unknown_split_is_refused(self):
+        suite = tiny_suite()
+        state = TrainState.create(tiny_backbone(), suite, tiny_config())
+        with pytest.raises(ConfigError, match="split must be 'train' or 'test', got 'val'"):
+            evaluate(state.model, suite, split="val")
 
 
 class TestCheckpointing:
