@@ -139,15 +139,25 @@ def _eval_settings(cfg: RunConfig) -> tuple[int, int]:
     return every, batch
 
 
+def _checkpoint_every(cfg: RunConfig) -> int:
+    """``train.checkpoint_every``; a negative value is a usage error."""
+    every = cfg.get("train", "checkpoint_every")
+    if every < 0:
+        raise ConfigError(
+            f"train.checkpoint_every must be 0 (final checkpoint only) or a positive step count, got {every}"
+        )
+    return every
+
+
 def _run_training(cfg: RunConfig, out: Path, mode: Optional[str] = None, seed: Optional[int] = None):
     """Train one model per the config; returns (state, eval results)."""
     eval_every, eval_batch = _eval_settings(cfg)
+    ckpt_every = _checkpoint_every(cfg)
     suite = cfg.suite()
     train_cfg = cfg.train_config(mode=mode, seed=seed)
     state = TrainState.create(
         cfg.backbone_config(), suite, train_cfg, cfg.loss_config(), config_hash=cfg.hash()
     )
-    ckpt_every = cfg.get("train", "checkpoint_every")
 
     metrics_path = out / "metrics.ndjson"
     with open(metrics_path, "w") as metrics:
@@ -190,7 +200,7 @@ def _load_checkpoint(state: TrainState, path) -> None:
         load_checkpoint(state, path)
     except OSError as err:
         raise ConfigError(f"{err.filename or path}: {err.strerror or err}") from None
-    except (FormatError, ShapeError, json.JSONDecodeError) as err:
+    except (ConfigError, FormatError, ShapeError, json.JSONDecodeError) as err:
         raise ConfigError(f"{path}: {err}") from None
 
 

@@ -7,7 +7,7 @@ standard deviation 0.02, biases start at zero.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -54,7 +54,13 @@ class Module:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+    def state_targets(self, arrays: Mapping[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(parameter array, entry)`` pairs for a load, checked but not copied.
+
+        A missing or off-shape entry raises ShapeError; extra entries are
+        ignored.  Copy each entry into its parameter array rather than
+        rebinding ``p.data``: under an optimizer the arrays are arena views.
+        """
         params = dict(self.named_parameters())
         missing = sorted(set(params) - set(arrays))
         if missing:
@@ -65,9 +71,7 @@ class Module:
                 raise ShapeError(
                     f"parameter '{name}' has shape {param.shape}, state has {tuple(arr.shape)}"
                 )
-        # Copy into the existing arrays: under an optimizer they are arena views.
-        for name, param in params.items():
-            param.data[...] = arrays[name]
+        return [(param.data, arrays[name]) for name, param in params.items()]
 
     def to_dtype(self, dtype) -> "Module":
         """Convert every parameter in place (used for float64 gradient checks)."""

@@ -8,7 +8,7 @@ applied elementwise, so it gives the same bits as one call per tensor.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -224,20 +224,21 @@ class AdamW:
         for p in self.params.values():
             p.grad = None
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
+    def named_moments(self) -> Iterator[tuple[str, np.ndarray]]:
+        """``(checkpoint entry name, arena view)`` for m and then v of each parameter, in the dict's order."""
         for name in self.params:
-            out[f"opt.m.{name}"] = self.m[name].copy()
-            out[f"opt.v.{name}"] = self.v[name].copy()
-        return out
+            yield f"opt.m.{name}", self.m[name]
+            yield f"opt.v.{name}", self.v[name]
 
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray], t: int) -> None:
-        """Copy moment arrays into the arenas; a missing or off-shape entry raises ShapeError."""
-        targets = {
-            f"opt.{kind}.{name}": store[name]
-            for name in self.params
-            for kind, store in (("m", self.m), ("v", self.v))
-        }
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {key: view.copy() for key, view in self.named_moments()}
+
+    def state_targets(self, arrays: Mapping[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(moment view, entry)`` pairs for a load, checked but not copied.
+
+        A missing or off-shape entry raises ShapeError.
+        """
+        targets = dict(self.named_moments())
         missing = [key for key in targets if key not in arrays]
         if missing:
             raise ShapeError(f"state is missing {len(missing)} optimizer moment arrays, first '{missing[0]}'")
@@ -246,6 +247,10 @@ class AdamW:
                 raise ShapeError(
                     f"optimizer entry '{key}' has shape {target.shape}, state has {tuple(arrays[key].shape)}"
                 )
-        for key, target in targets.items():
-            target[...] = arrays[key]
+        return [(target, arrays[key]) for key, target in targets.items()]
+
+    def load_state_arrays(self, arrays: Mapping[str, np.ndarray], t: int) -> None:
+        """Copy moment arrays into the arenas; a missing or off-shape entry raises ShapeError."""
+        for target, source in self.state_targets(arrays):
+            target[...] = source
         self.t = t

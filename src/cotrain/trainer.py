@@ -28,7 +28,7 @@ from .nn import Module
 from .optim import AdamW, lr_schedule
 from .rng import Rng
 from .tensor import Tensor, gather_rows, map_items, no_grad
-from .tensor_io import load_arrays, save_arrays
+from .tensor_io import commit, load_arrays, save_arrays, staged
 
 _STREAM_INIT = 1
 _STREAM_BATCH_BASE = 1 << 32
@@ -308,27 +308,54 @@ def evaluate(
 # -- checkpointing ------------------------------------------------------------
 
 
+def _manifest_path(path: Path) -> Path:
+    return path.with_suffix(path.suffix + ".json")
+
+
 def save_checkpoint(state: TrainState, path) -> None:
-    """Write ``<path>`` (arrays) and ``<path>.json`` (manifest)."""
+    """Write ``<path>`` (arrays) and ``<path>.json`` (manifest), replacing both as a whole.
+
+    The arrays are written straight from the parameter and moment arenas, and
+    each file goes to its staged name first.  :func:`tensor_io.commit` then
+    renames the arrays and then the manifest into place, so a checkpoint with
+    a manifest is complete.  If anything fails, the files already at the two
+    paths are left as they were and no staged file remains.
+    """
     path = Path(path)
-    arrays = state.model.state_arrays()
-    arrays.update(state.opt.state_arrays())
-    save_arrays(path, arrays)
+    manifest_path = _manifest_path(path)
+    arrays = {name: p.data for name, p in state.model.named_parameters()}
+    arrays.update(state.opt.named_moments())
     manifest = {
         "step": state.step,
         "config_hash": state.config_hash,
         "rng_state": {"algorithm": "philox", "seed": state.config.seed, "next_step": state.step},
     }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(manifest, indent=2) + "\n")
+    try:
+        save_arrays(staged(path), arrays)
+        staged(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
+        commit([path, manifest_path])
+    except BaseException:
+        for target in (path, manifest_path):
+            staged(target).unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(state: TrainState, path) -> TrainState:
-    """Restore parameters, optimizer moments, and the step counter in place."""
+    """Restore parameters, optimizer moments, and the step counter in place.
+
+    The manifest and every parameter and moment entry are checked before the
+    first copy, so a refused checkpoint leaves the state as it was.  A
+    manifest without a non-negative integer ``step`` raises ConfigError.
+    """
     path = Path(path)
     arrays = load_arrays(path)
-    manifest = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    model_arrays = {k: v for k, v in arrays.items() if not k.startswith("opt.")}
-    state.model.load_state_arrays(model_arrays)
-    state.step = int(manifest["step"])
-    state.opt.load_state_arrays(arrays, t=state.step)
+    manifest = json.loads(_manifest_path(path).read_text())
+    step = manifest.get("step") if isinstance(manifest, dict) else None
+    if type(step) is not int or step < 0:
+        raise ConfigError(f"manifest has no non-negative integer 'step', got {step!r}")
+    copies = state.model.state_targets(arrays) + state.opt.state_targets(arrays)
+    for target, source in copies:
+        target[...] = source
+    state.step = step
+    state.opt.t = step
     return state

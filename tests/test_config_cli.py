@@ -252,6 +252,18 @@ class TestCliTrain:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert steps == []
 
+    def test_negative_checkpoint_every_is_refused_before_training(self, tiny_ini, tmp_path, monkeypatch, capsys):
+        """One line and exit 1: ``-2`` had written checkpoints at steps 2, 4 and 6."""
+        steps = []
+        monkeypatch.setattr(cli, "train_steps", lambda *args: steps.append(args))
+        out = tmp_path / "run"
+        assert main(["train", "--config", tiny_ini, "--out", str(out), "--set", "train.checkpoint_every=-2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: train.checkpoint_every must be 0 (final checkpoint only) or a positive step count, got -2"
+        ]
+        assert steps == []
+        assert not list(out.glob("*.mttn*"))
+
 
 class TestCliEvalAndInspect:
     @pytest.fixture()
@@ -351,6 +363,9 @@ class TestCliBadCheckpoint:
             (root / f"{name}.mttn.json").write_bytes(manifest)
         (root / "bad_manifest.mttn").write_bytes(blob)
         (root / "bad_manifest.mttn.json").write_bytes(manifest[: len(manifest) // 2])
+        (root / "no_step.mttn").write_bytes(blob)
+        no_step = {k: v for k, v in json.loads(manifest).items() if k != "step"}
+        (root / "no_step.mttn.json").write_text(json.dumps(no_step))
         return root
 
     @pytest.mark.parametrize("command", ["eval", "inspect-projections"])
@@ -363,6 +378,7 @@ class TestCliBadCheckpoint:
             ("no_moments.mttn", [], "optimizer moment arrays"),
             ("bad_moment.mttn", [], "optimizer entry 'opt.m."),
             ("bad_manifest.mttn", [], "Expecting"),
+            ("no_step.mttn", [], "manifest has no non-negative integer 'step', got None"),
         ],
     )
     def test_exits_one_with_a_message(self, run_dir, command, case, overrides, needle, capsys):

@@ -1,12 +1,16 @@
 """Trainer tests on a deliberately tiny model: mode wiring, determinism,
 checkpoint resume, and chance-level evaluation before training."""
+import json
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cotrain import trainer
 from cotrain.backbone import BackboneConfig, StageConfig
 from cotrain.data import generate_synthetic_suite
-from cotrain.errors import ConfigError, NumericError
+from cotrain.errors import ConfigError, NumericError, ShapeError
 from cotrain.optim import AdamW
 from cotrain.tensor import Tensor, no_grad
 from cotrain.trainer import (
@@ -20,6 +24,7 @@ from cotrain.trainer import (
     save_checkpoint,
     train_steps,
 )
+from cotrain.tensor_io import load_arrays, save_arrays
 
 TINY_SHAPE = (4, 8, 8, 1)
 
@@ -328,9 +333,115 @@ class TestCheckpointing:
         state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
         train_steps(state, 2)
         save_checkpoint(state, path)
-        import json
-
         manifest = json.loads((tmp_path / "ckpt.mttn.json").read_text())
         assert manifest["step"] == 2
         assert manifest["config_hash"] == state.config_hash
         assert manifest["rng_state"]["next_step"] == 2
+
+
+def _snapshot(state):
+    return state.step, state.opt.t, state.model.state_arrays(), state.opt.state_arrays()
+
+
+def _assert_unchanged(state, snapshot):
+    step, t, params, moments = snapshot
+    assert (state.step, state.opt.t) == (step, t)
+    for now, before in ((state.model.state_arrays(), params), (state.opt.state_arrays(), moments)):
+        assert list(now) == list(before)
+        for name in before:
+            assert now[name].tobytes() == before[name].tobytes(), name
+
+
+class TestCheckpointRefusal:
+    """A refused checkpoint leaves parameters, moments and the step as they were."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        train_steps(state, 2)
+        path = tmp_path / "ckpt.mttn"
+        save_checkpoint(state, path)
+        target = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(seed=5))
+        train_steps(target, 3)
+        return path, target
+
+    def test_off_shape_moment(self, saved):
+        path, target = saved
+        arrays = load_arrays(path)
+        # The last entry, so every parameter and the other moments check out first.
+        key = next(k for k in reversed(arrays) if k.startswith("opt.m."))
+        arrays[key] = arrays[key][None]
+        save_arrays(path, arrays)
+        before = _snapshot(target)
+        with pytest.raises(ShapeError, match=f"optimizer entry '{key}'"):
+            load_checkpoint(target, path)
+        _assert_unchanged(target, before)
+
+    @pytest.mark.parametrize("manifest", [{"config_hash": "x"}, {"step": -1}, {"step": "2"}, {"step": True}, [2]])
+    def test_manifest_without_a_step(self, saved, manifest):
+        path, target = saved
+        (path.parent / "ckpt.mttn.json").write_text(json.dumps(manifest))
+        before = _snapshot(target)
+        with pytest.raises(ConfigError, match="manifest has no non-negative integer 'step'"):
+            load_checkpoint(target, path)
+        _assert_unchanged(target, before)
+
+
+class TestCheckpointWrite:
+    def test_save_and_load_call_the_array_io_once(self, tmp_path, monkeypatch):
+        """The benchmark's tensor_io spans wrap these two names; each must run exactly once."""
+        calls = []
+        for name in ("save_arrays", "load_arrays"):
+            real = getattr(trainer, name)
+            monkeypatch.setattr(trainer, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        save_checkpoint(state, tmp_path / "ckpt.mttn")
+        assert calls == ["save_arrays"]
+        load_checkpoint(state, tmp_path / "ckpt.mttn")
+        assert calls == ["save_arrays", "load_arrays"]
+
+    def test_overwrite_replaces_both_files(self, tmp_path):
+        path = tmp_path / "ckpt.mttn"
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        train_steps(state, 1)
+        save_checkpoint(state, path)
+        train_steps(state, 2)
+        save_checkpoint(state, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.mttn", "ckpt.mttn.json"]
+        fresh = load_checkpoint(TrainState.create(tiny_backbone(), tiny_suite(), tiny_config()), path)
+        _assert_unchanged(fresh, _snapshot(state))
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_manifest_rename_leaves_the_path_as_it_was(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "ckpt.mttn"
+        manifest = tmp_path / "ckpt.mttn.json"
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        if existing:
+            save_checkpoint(state, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        train_steps(state, 1)
+        replace = os.replace
+        failed = []
+
+        def replace_failing_once_onto_the_manifest(src, dst):
+            if os.fspath(dst) == os.fspath(manifest) and not failed:
+                failed.append(src)
+                raise OSError("rename refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_once_onto_the_manifest)
+        with pytest.raises(OSError, match="rename refused"):
+            save_checkpoint(state, path)
+        assert failed
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_array_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def save_then_fail(path, arrays):
+            save_arrays(path, arrays)
+            raise OSError("no space left")
+
+        monkeypatch.setattr(trainer, "save_arrays", save_then_fail)
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(state, tmp_path / "ckpt.mttn")
+        assert list(tmp_path.iterdir()) == []
