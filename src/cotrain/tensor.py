@@ -62,7 +62,8 @@ the caller.
   trained bits are identical for any worker count.  Blocks call only numpy
   and scipy, never another op, so the tape and ``count_ops`` do not see them.
 * Whole items.  ``map_items(fn, items)`` runs independent items (the batches
-  of an evaluation) on the caller and the helpers.  Inside an item every op
+  of an evaluation, the chunks of a split's clips) on the caller and the
+  helpers.  Inside an item every op
   runs whole, and a nested ``map_items`` runs its items in order: a
   thread-local flag, set in the helpers for good and in the caller while it
   runs items, keeps work from ever being queued twice.  An item's results are

@@ -1,19 +1,29 @@
 """Synthetic suite tests: determinism, splits, aliases, bias rendering,
-and mixed-batch sampling statistics."""
+split rendering on the pool, and mixed-batch sampling statistics."""
+import math
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cotrain import data
+from cotrain.backbone import BackboneConfig, StageConfig
 from cotrain.data import (
+    _BIAS_TEMPLATES,
+    AliasEntry,
     BiasProfile,
     DatasetRegistry,
     DatasetSpec,
+    SyntheticSuite,
     _render_clip,
     generate_synthetic_suite,
     sample_mixed_batch,
 )
 from cotrain.errors import BatchSizeError, ConfigError, RegistryError
 from cotrain.rng import Rng
+from cotrain.trainer import TrainConfig, TrainState, evaluate
 
 
 def small_suite(seed=5, **kwargs):
@@ -81,6 +91,16 @@ class TestDeterminism:
     def test_cache_returns_same_array(self):
         suite = small_suite()
         assert suite.clip(0, 0) is suite.clip(0, 0)
+
+    @pytest.mark.parametrize("sample_id", [-1, 60, 1000])
+    def test_id_outside_both_splits_is_refused(self, sample_id):
+        suite = small_suite()
+        with pytest.raises(ConfigError) as err:
+            suite.clip(1, sample_id)
+        message = str(err.value)
+        assert "\n" not in message
+        assert "'briar'" in message and f"sample id {sample_id}" in message and "0..59" in message
+        assert not suite._cache
 
 
 class TestSplits:
@@ -155,6 +175,182 @@ class TestClipRendering:
             BiasProfile(blob_scale=0.0)
 
 
+def _reference_render_clip(rng, concept, concept_count, bias, clip_shape):
+    """The one-clip renderer as it was before splits rendered in batches, kept to pin the bits."""
+    t_len, height, width, channels = clip_shape
+    theta = 2.0 * math.pi * concept / concept_count
+    speed = 1.25 + 0.5 * (concept % 2)
+    sigma = 2.0 * bias.blob_scale
+    vx = speed * math.cos(theta)
+    vy = speed * math.sin(theta)
+
+    x0 = float(rng.uniform(low=0.0, high=width))
+    y0 = float(rng.uniform(low=0.0, high=height))
+    steps = np.arange(t_len, dtype=np.float64) * bias.decimation
+    px = (x0 + vx * steps) % width
+    py = (y0 + vy * steps) % height
+
+    ys = np.arange(height, dtype=np.float64)[None, :, None]
+    xs = np.arange(width, dtype=np.float64)[None, None, :]
+    dy = np.abs(ys - py[:, None, None])
+    dy = np.minimum(dy, height - dy)
+    dx = np.abs(xs - px[:, None, None])
+    dx = np.minimum(dx, width - dx)
+    frames = 1.0 * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
+
+    frames = frames + bias.bg_offset
+    if bias.noise_std > 0:
+        frames = frames + rng.normal((t_len, height, width), std=bias.noise_std)
+    frames = np.clip(frames, 0.0, 1.0)
+    return np.repeat(frames[..., None], channels, axis=-1).astype(np.float32)
+
+
+def _reference_alias_entries(assignment):
+    """The alias map's entries as the original loop over every class pair listed them."""
+    entries = []
+    for i, row_i in enumerate(assignment):
+        for k, row_k in enumerate(assignment):
+            if i == k:
+                continue
+            for a, ga in enumerate(row_i):
+                for b, gb in enumerate(row_k):
+                    if ga == gb:
+                        entries.append(AliasEntry(i, a, k, b))
+    return entries
+
+
+# Every bias template, one without noise, and one more decimation and scale.
+_RENDER_BIASES = [BiasProfile(*t) for t in _BIAS_TEMPLATES] + [
+    BiasProfile(bg_offset=0.03, noise_std=0.0),
+    BiasProfile(bg_offset=0.0, noise_std=0.03, decimation=2, blob_scale=1.3),
+]
+
+
+class TestSplitRendering:
+    """A split renders in one batch across the pool, with the bits of a clip-by-clip loop."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("clip_shape", [(8, 16, 16, 1), (8, 32, 32, 3)])
+    def test_every_clip_equals_the_one_clip_loop(self, clip_shape, workers, use_pool):
+        use_pool(workers)
+        n = len(_RENDER_BIASES)
+        suite = generate_synthetic_suite(
+            13,
+            num_datasets=n,
+            class_counts=[4, 5, 3, 4, 6, 4],
+            train_sizes=[37] * n,  # several items a split, the last one short
+            test_sizes=[19] * n,
+            concept_count=12,
+            shared_classes=3,
+            biases=_RENDER_BIASES,
+            clip_shape=clip_shape,
+        )
+        for spec in suite.specs:
+            for split in ("train", "test"):
+                for sid in suite.split_ids(spec.id, split).tolist():
+                    concept = suite.assignment[spec.id][suite.label_of(spec.id, sid)]
+                    rng = Rng(suite.seed, (spec.id << 40) ^ sid)
+                    want = _reference_render_clip(rng, concept, suite.concept_count, spec.bias, clip_shape)
+                    got = suite.clip(spec.id, sid)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (spec.id, sid)
+
+    def test_one_clip_renderer_equals_the_original(self):
+        for bias in _RENDER_BIASES:
+            for shape in [(8, 16, 16, 1), (8, 32, 32, 3), (5, 7, 9, 2)]:
+                got = _render_clip(Rng(3, 11), 5, 12, bias, shape)
+                want = _reference_render_clip(Rng(3, 11), 5, 12, bias, shape)
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    def test_one_render_per_split_and_row_views(self, monkeypatch):
+        suite = small_suite()
+        renders = _count_renders(monkeypatch)
+        first = suite.clip(1, 45)
+        assert renders == [(1, "test")]
+        assert first.base is not None and first.base.shape == (20, 8, 16, 16, 1)
+        for sid in range(40, 60):
+            assert suite.clip(1, sid).base is first.base
+        assert renders == [(1, "test")]
+
+    def test_cold_sampling_equals_warm(self):
+        cold = small_suite(seed=17)
+        warm = small_suite(seed=17)
+        for spec in warm.specs:
+            warm.split_arrays(spec.id, "train")
+        for step in range(4):
+            a = sample_mixed_batch(Rng(41, step), 16, cold)
+            b = sample_mixed_batch(Rng(41, step), 16, warm)
+            npt.assert_array_equal(a.dataset_ids, b.dataset_ids)
+            npt.assert_array_equal(a.sample_ids, b.sample_ids)
+            npt.assert_array_equal(a.labels, b.labels)
+            assert a.clips.tobytes() == b.clips.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_evaluation_equals_warm_and_renders_each_split_once(self, workers, use_pool, monkeypatch):
+        use_pool(workers)
+        shape = (4, 8, 8, 1)
+
+        def suite():
+            return generate_synthetic_suite(
+                23, 3, [4, 4, 4], [16, 16, 16], [40, 24, 33], clip_shape=shape
+            )
+
+        backbone = BackboneConfig(
+            input_shape=shape, patch=(2, 4, 4), stages=(StageConfig(blocks=1, dim=8, heads=2),), mlp_ratio=2.0
+        )
+        warm = suite()
+        state = TrainState.create(backbone, warm, TrainConfig.for_mode("full", steps=4, batch_size=4, warmup_steps=1))
+        for spec in warm.specs:
+            warm.split_arrays(spec.id, "test")
+        want = evaluate(state.model, warm, batch_size=5)
+        cold = suite()
+        renders = _count_renders(monkeypatch)
+        assert evaluate(state.model, cold, batch_size=5) == want
+        assert sorted(renders) == [(0, "test"), (1, "test"), (2, "test")]
+
+    def test_threads_missing_together_render_each_split_once(self, use_pool, monkeypatch):
+        """Six threads on a 4-worker pool miss on a cold suite at once, under a 10 us switch interval."""
+        use_pool(4)
+        want = small_suite(seed=19)
+        ids = [(k, sid) for k in range(2) for sid in range(60)]
+        suite = small_suite(seed=19)
+        renders = _count_renders(monkeypatch)
+        seen = [None] * 6
+
+        def work(t):
+            order = ids[t * 17 :] + ids[: t * 17]
+            seen[t] = {key: suite.clip(*key) for key in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(renders) == [(0, "test"), (0, "train"), (1, "test"), (1, "train")]
+        for key in ids:
+            assert all(clips[key] is seen[0][key] for clips in seen)
+            assert seen[0][key].tobytes() == want.clip(*key).tobytes()
+
+
+def _count_renders(monkeypatch) -> list:
+    """Record ``(dataset id, split)`` for every split render from now on."""
+    renders = []
+    render = SyntheticSuite._render_split
+
+    def counted(self, dataset_id, split):
+        renders.append((dataset_id, split))
+        render(self, dataset_id, split)
+
+    monkeypatch.setattr(SyntheticSuite, "_render_split", counted)
+    return renders
+
+
 class TestAliasMap:
     def test_full_share_has_every_directed_pair(self):
         suite = small_suite()
@@ -180,6 +376,40 @@ class TestAliasMap:
     def test_zero_share_has_no_aliases(self):
         suite = small_suite(class_counts=[2, 2], concept_count=4, shared_classes=0)
         assert len(suite.alias_map) == 0
+
+    @pytest.mark.parametrize(
+        "num_datasets, class_counts, concepts, shared",
+        [
+            (4, [5, 5, 5, 5], None, None),  # full share
+            (3, [4, 6, 5], 10, 3),  # partial share
+            (3, [2, 3, 2], 7, 0),  # zero share
+        ],
+    )
+    def test_entries_equal_the_pairwise_loop(self, num_datasets, class_counts, concepts, shared):
+        suite = generate_synthetic_suite(
+            29, num_datasets, class_counts, [8] * num_datasets, [4] * num_datasets,
+            concept_count=concepts, shared_classes=shared,
+        )
+        assert list(suite.alias_map.entries) == _reference_alias_entries(suite.assignment)
+
+    def test_repeated_concepts_keep_every_pair_in_order(self):
+        # A suite built by hand may give two classes the same concept.
+        suite = SyntheticSuite(1, small_suite().specs, 3, [[0, 1, 0, 2], [2, 0, 0, 1]])
+        assert list(suite.alias_map.entries) == _reference_alias_entries(suite.assignment)
+
+    def test_built_on_first_use(self, monkeypatch):
+        builds = []
+        build = data._build_alias_map
+
+        def counted(assignment):
+            builds.append(assignment)
+            return build(assignment)
+
+        monkeypatch.setattr(data, "_build_alias_map", counted)
+        suite = small_suite()
+        assert builds == []
+        assert suite.alias_map is suite.alias_map
+        assert builds == [suite.assignment]
 
     def test_permutations_make_nontrivial_maps(self):
         # Across a few seeds at least one alias map must differ from the

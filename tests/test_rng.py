@@ -51,3 +51,42 @@ def test_draw_order_matters_not_batch_shape():
     first = rng.normal((5,))
     second = rng.normal((5,))
     assert not np.array_equal(first, second)
+
+
+_DRAWS = (
+    # 32-bit words, none rejected at a power-of-two range; the odd length
+    # leaves half a 64-bit word buffered.
+    lambda rng: rng.integers(0, 1 << 16, shape=3),
+    lambda rng: rng.normal((4, 3), std=0.5),
+    lambda rng: rng.uniform(),
+    lambda rng: rng.choice(5, size=4, p=[0.1, 0.2, 0.3, 0.25, 0.15]),
+    lambda rng: rng.integers(0, 7, shape=5),
+)
+
+
+def test_rekey_equals_a_fresh_stream_after_any_draws():
+    streams = [0, 9, (3 << 40) ^ 17, (7 << 40) ^ 255, 1 << 63, (1 << 63) + 1, (1 << 64) - 1]
+    for before in range(len(_DRAWS) + 1):
+        for stream in streams:
+            rng = Rng(21, 4)
+            for draw in _DRAWS[:before]:
+                draw(rng)
+            assert rng.rekey(stream) is rng and rng.stream == stream
+            fresh = Rng(21, stream)
+            for draw in _DRAWS:
+                got, want = draw(rng), draw(fresh)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                npt.assert_array_equal(got, want)
+
+
+def test_rekey_masks_the_stream_as_the_constructor_does():
+    rng = Rng(5, 0).rekey(-1)
+    assert rng.stream == (1 << 64) - 1
+    npt.assert_array_equal(rng.normal((6,)), Rng(5, -1).normal((6,)))
+
+
+def test_streams_from_two_to_the_63_are_distinct():
+    # Key words are passed as uint64: through a float64 these three collided.
+    draws = [Rng(3, (1 << 63) + d).normal((4,)) for d in range(3)]
+    assert not np.array_equal(draws[0], draws[1]) and not np.array_equal(draws[1], draws[2])
+    assert not np.array_equal(Rng(-1, 0).normal((4,)), Rng(0, 0).normal((4,)))
