@@ -3,128 +3,4 @@ datasets, with embedding regularizers and learned cross-dataset label
 projections.  Everything runs on numpy with a built-in reverse-mode tape.
 """
 
-from .backbone import Backbone, BackboneConfig, PooledAttention, StageConfig
-from .config import RunConfig, write_resolved
-from .data import (
-    AliasMap,
-    BiasProfile,
-    DatasetRegistry,
-    DatasetSpec,
-    MixedBatch,
-    SyntheticSuite,
-    generate_synthetic_suite,
-    sample_mixed_batch,
-)
-from .errors import (
-    BatchSizeError,
-    ConfigError,
-    ContractError,
-    FormatError,
-    GraphError,
-    LabelError,
-    NumericError,
-    RegistryError,
-    ShapeError,
-)
-from .gradcheck import CheckResult, finite_diff_check
-from .losses import (
-    Expander,
-    HeadBank,
-    ProjectionBank,
-    SigmaParams,
-    covariance_loss,
-    cross_entropy,
-    project_logits,
-    projection_only_logits,
-    top_projection_pairs,
-    total_loss,
-    uncertainty_weighted_sum,
-    variance_loss,
-)
-from .nn import LayerNorm, Linear, Mlp, Module, PoolConv
-from .optim import AdamW, adamw_update, lr_schedule
-from .rng import Rng
-from .tensor import Tensor, count_ops, no_grad
-from .tensor_io import load_arrays, save_arrays
-from .trainer import (
-    MODES,
-    EvalResult,
-    JointModel,
-    LossConfig,
-    TrainConfig,
-    TrainState,
-    build_model,
-    compute_step_loss,
-    evaluate,
-    load_checkpoint,
-    save_checkpoint,
-    train_steps,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamW",
-    "AliasMap",
-    "Backbone",
-    "BackboneConfig",
-    "BatchSizeError",
-    "BiasProfile",
-    "CheckResult",
-    "ConfigError",
-    "ContractError",
-    "DatasetRegistry",
-    "DatasetSpec",
-    "EvalResult",
-    "Expander",
-    "FormatError",
-    "GraphError",
-    "HeadBank",
-    "JointModel",
-    "LabelError",
-    "LayerNorm",
-    "Linear",
-    "LossConfig",
-    "MODES",
-    "MixedBatch",
-    "Mlp",
-    "Module",
-    "NumericError",
-    "PoolConv",
-    "PooledAttention",
-    "ProjectionBank",
-    "RegistryError",
-    "Rng",
-    "RunConfig",
-    "ShapeError",
-    "SigmaParams",
-    "StageConfig",
-    "SyntheticSuite",
-    "Tensor",
-    "TrainConfig",
-    "TrainState",
-    "adamw_update",
-    "build_model",
-    "compute_step_loss",
-    "count_ops",
-    "covariance_loss",
-    "cross_entropy",
-    "evaluate",
-    "finite_diff_check",
-    "generate_synthetic_suite",
-    "load_arrays",
-    "load_checkpoint",
-    "lr_schedule",
-    "no_grad",
-    "project_logits",
-    "projection_only_logits",
-    "sample_mixed_batch",
-    "save_arrays",
-    "save_checkpoint",
-    "top_projection_pairs",
-    "total_loss",
-    "train_steps",
-    "uncertainty_weighted_sum",
-    "variance_loss",
-    "write_resolved",
-]

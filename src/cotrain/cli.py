@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig, write_resolved
-from .data import DatasetRegistry
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .libc import mallopt
 from .losses import top_projection_pairs
@@ -315,7 +314,6 @@ def cmd_inspect_projections(args) -> int:
     if state.model.projections is None:
         raise ConfigError("this mode trains no projection bank; nothing to inspect")
     bank = state.model.projections
-    registry = DatasetRegistry(suite.specs)
 
     if args.pair is not None:
         try:
@@ -335,7 +333,7 @@ def cmd_inspect_projections(args) -> int:
     agree_hits = 0
     agree_total = 0
     for i, k in pairs_to_show:
-        spec_i, spec_k = registry.by_id(i), registry.by_id(k)
+        spec_i, spec_k = suite.specs[i], suite.specs[k]
         cap = spec_i.num_classes * spec_k.num_classes
         n = top
         if n > cap:

@@ -18,7 +18,7 @@ from typing import Any, Optional
 from .backbone import BackboneConfig, StageConfig
 from .data import BiasProfile, SyntheticSuite, generate_synthetic_suite
 from .errors import ConfigError
-from .trainer import MODES, LossConfig, TrainConfig
+from .trainer import LossConfig, TrainConfig
 
 
 def _parse_bool(text: str) -> bool:
@@ -82,7 +82,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
     },
     "loss": {
         "eps": ("float", 1e-4),
-        "variance_formula": ("str", "hinge-std"),
         "expander_hidden": ("int", 0),
         "sigma_init": ("float", 1.0),
         "detach_sigma_loss": ("bool", False),
@@ -221,7 +220,6 @@ class RunConfig:
         v = self.values["loss"]
         return LossConfig(
             eps=v["eps"],
-            variance_formula=v["variance_formula"],
             expander_hidden=v["expander_hidden"],
             sigma_init=v["sigma_init"],
             detach_sigma_loss=v["detach_sigma_loss"],
@@ -229,11 +227,8 @@ class RunConfig:
 
     def train_config(self, mode: Optional[str] = None, seed: Optional[int] = None) -> TrainConfig:
         v = self.values["train"]
-        mode = mode if mode is not None else v["mode"]
-        if mode not in MODES:
-            raise ConfigError(f"train.mode must be one of {MODES}, got '{mode}'")
-        return TrainConfig.for_mode(
-            mode,
+        return TrainConfig(
+            mode=mode if mode is not None else v["mode"],
             steps=v["steps"],
             batch_size=v["batch_size"],
             base_lr=v["base_lr"],

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BatchSizeError, ConfigError, RegistryError
+from .errors import BatchSizeError, ConfigError
 from .rng import Rng
 from .tensor import map_items
 
@@ -424,43 +424,6 @@ def generate_synthetic_suite(
             )
         )
     return SyntheticSuite(seed, specs, concepts, assignment, clip_shape)
-
-
-class DatasetRegistry:
-    """Id- and name-addressable view of the suite's datasets."""
-
-    def __init__(self, specs: Sequence[DatasetSpec]):
-        self._by_id: dict[int, DatasetSpec] = {}
-        self._by_name: dict[str, DatasetSpec] = {}
-        for spec in specs:
-            if spec.id in self._by_id:
-                raise RegistryError(f"duplicate dataset id {spec.id}")
-            if spec.name in self._by_name:
-                raise RegistryError(f"duplicate dataset name '{spec.name}'")
-            self._by_id[spec.id] = spec
-            self._by_name[spec.name] = spec
-
-    def by_id(self, dataset_id: int) -> DatasetSpec:
-        try:
-            return self._by_id[dataset_id]
-        except KeyError:
-            raise RegistryError(f"unknown dataset id {dataset_id}") from None
-
-    def by_name(self, name: str) -> DatasetSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise RegistryError(f"unknown dataset name '{name}'") from None
-
-    def __iter__(self) -> Iterator[DatasetSpec]:
-        return iter(sorted(self._by_id.values(), key=lambda s: s.id))
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    @property
-    def class_counts(self) -> tuple[int, ...]:
-        return tuple(spec.num_classes for spec in self)
 
 
 def sample_mixed_batch(

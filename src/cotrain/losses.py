@@ -51,24 +51,16 @@ class Expander(Module):
         return self.net(z)
 
 
-def variance_loss(z_exp: Tensor, eps: float = 1e-4, formula: str = "hinge-std") -> Tensor:
+def variance_loss(z_exp: Tensor, eps: float = 1e-4) -> Tensor:
     """Mean hinge on per-dimension batch standard deviation.
 
-    ``hinge-std`` computes ``s_j = sqrt(var_j + eps)`` with the unbiased
-    ``B - 1`` divisor and averages ``max(0, 1 - s_j)`` over dimensions.
-    ``printed`` is a literal transcription variant kept for comparison: it
-    sums raw (unsquared) deviations, which cancel to zero, so it degenerates
-    to the constant ``max(0, 1 - sqrt(eps))`` with zero gradient.
+    Computes ``s_j = sqrt(var_j + eps)`` with the unbiased ``B - 1`` divisor
+    and averages ``max(0, 1 - s_j)`` over dimensions.
     """
-    b, d = _check_reg_input(z_exp, "variance_loss")
+    b, _ = _check_reg_input(z_exp, "variance_loss")
     mean = z_exp.mean(axis=0, keepdims=True)
     dev = z_exp - mean
-    if formula == "hinge-std":
-        var = (dev * dev).sum(axis=0) / float(b - 1)
-    elif formula == "printed":
-        var = dev.sum(axis=0) / float(d - 1) if d > 1 else dev.sum(axis=0)
-    else:
-        raise ConfigError(f"unknown variance formula '{formula}'")
+    var = (dev * dev).sum(axis=0) / float(b - 1)
     std = T.sqrt(var + eps)
     return T.relu(1.0 - std).mean()
 

@@ -3,7 +3,9 @@
 A :class:`JointModel` bundles the backbone with everything mode-dependent:
 the expander feeding the informative regularizers, per-dataset heads, the
 cross-dataset projection bank, and the per-dataset uncertainty parameters.
-Ablation modes drop components; ``vanilla`` is independent heads under a plain
+A training mode is a row of :data:`MODES`, which names the parts it trains;
+:func:`build_model` builds exactly those parts and :func:`compute_step_loss`
+assembles the loss from them.  ``vanilla`` is independent heads under a plain
 sum of cross-entropies.
 
 Every random draw is keyed by ``(seed, stream)`` where the stream encodes its
@@ -16,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,11 +35,28 @@ from .tensor_io import commit, load_arrays, save_arrays, staged
 _STREAM_INIT = 1
 _STREAM_BATCH_BASE = 1 << 32
 
-MODES = ("full", "vanilla", "wo_informative", "wo_informative_wo_projadd", "wo_projection")
+
+class ModeParts(NamedTuple):
+    """The loss parts one training mode trains."""
+
+    informative: bool  # expander plus the variance and covariance terms
+    projection: Optional[str]  # None, "add" (bank added to the head logits) or "branch" (its own CE)
+    sigma: bool  # uncertainty-weighted sum; without it the CEs are summed plainly
+
+
+MODES = {
+    "full": ModeParts(informative=True, projection="add", sigma=True),
+    "vanilla": ModeParts(informative=False, projection=None, sigma=False),
+    "wo_informative": ModeParts(informative=False, projection="add", sigma=True),
+    "wo_informative_wo_projadd": ModeParts(informative=False, projection="branch", sigma=True),
+    "wo_projection": ModeParts(informative=True, projection=None, sigma=True),
+}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer, schedule and batching settings, plus the training ``mode``: a key of :data:`MODES`."""
+
     steps: int = 2000
     batch_size: int = 16
     base_lr: float = 1e-3
@@ -50,12 +69,11 @@ class TrainConfig:
     grad_clip: float = 1.0
     seed: int = 1
     mixing: str = "proportional"
-    use_informative: bool = True
-    use_projection_loss: bool = True
-    projection_add: bool = True
-    vanilla: bool = False
+    mode: str = "full"
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"train.mode must be one of {tuple(MODES)}, got '{self.mode}'")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 2:
@@ -64,43 +82,11 @@ class TrainConfig:
             raise ConfigError(
                 f"warmup_steps must lie in [0, steps), got {self.warmup_steps} of {self.steps}"
             )
-        if self.vanilla and (self.use_informative or self.use_projection_loss or self.projection_add):
-            raise ConfigError("vanilla mode excludes the informative and projection components")
-        if self.projection_add and not self.use_projection_loss:
-            raise ConfigError("projection_add requires use_projection_loss")
-
-    @property
-    def mode(self) -> str:
-        if self.vanilla:
-            return "vanilla"
-        if self.use_informative and self.use_projection_loss and self.projection_add:
-            return "full"
-        if not self.use_informative and self.use_projection_loss and self.projection_add:
-            return "wo_informative"
-        if not self.use_informative and self.use_projection_loss:
-            return "wo_informative_wo_projadd"
-        if self.use_informative and not self.use_projection_loss:
-            return "wo_projection"
-        return "custom"
-
-    @staticmethod
-    def for_mode(mode: str, **overrides) -> "TrainConfig":
-        flags = {
-            "full": dict(use_informative=True, use_projection_loss=True, projection_add=True, vanilla=False),
-            "vanilla": dict(use_informative=False, use_projection_loss=False, projection_add=False, vanilla=True),
-            "wo_informative": dict(use_informative=False, use_projection_loss=True, projection_add=True, vanilla=False),
-            "wo_informative_wo_projadd": dict(use_informative=False, use_projection_loss=True, projection_add=False, vanilla=False),
-            "wo_projection": dict(use_informative=True, use_projection_loss=False, projection_add=False, vanilla=False),
-        }
-        if mode not in flags:
-            raise ConfigError(f"unknown mode '{mode}', expected one of {MODES}")
-        return TrainConfig(**{**flags[mode], **overrides})
 
 
 @dataclass(frozen=True)
 class LossConfig:
     eps: float = 1e-4
-    variance_formula: str = "hinge-std"
     expander_hidden: int = 0  # 0 means twice the embedding width
     sigma_init: float = 1.0
     detach_sigma_loss: bool = False
@@ -137,24 +123,38 @@ def build_model(
     train_config: TrainConfig,
     loss_config: LossConfig = LossConfig(),
 ) -> JointModel:
-    """Instantiate a model with exactly the components the mode trains."""
+    """Instantiate a model with exactly the components the mode trains.
+
+    A mode that supervises the projection branch on its own needs another
+    dataset to project from, so it refuses fewer than two with ConfigError.
+    """
+    parts = MODES[train_config.mode]
+    if parts.projection == "branch" and len(class_counts) < 2:
+        raise ConfigError(
+            f"mode {train_config.mode} trains a separate projection branch, which needs "
+            f"at least 2 datasets, got {len(class_counts)}"
+        )
     rng = Rng(train_config.seed, stream=_STREAM_INIT)
     backbone = Backbone(backbone_config, rng)
     dim = backbone_config.embed_dim
-    expander = (
-        L.Expander(dim, loss_config.hidden_for(dim), rng) if train_config.use_informative else None
-    )
+    expander = L.Expander(dim, loss_config.hidden_for(dim), rng) if parts.informative else None
     heads = L.HeadBank(dim, class_counts, rng)
-    projections = L.ProjectionBank(class_counts) if train_config.use_projection_loss else None
-    sigma = None if train_config.vanilla else L.SigmaParams(len(class_counts), loss_config.sigma_init)
+    projections = L.ProjectionBank(class_counts) if parts.projection else None
+    sigma = L.SigmaParams(len(class_counts), loss_config.sigma_init) if parts.sigma else None
     return JointModel(backbone, heads, expander, projections, sigma, loss_config)
 
 
 def compute_step_loss(
-    model: JointModel, batch: MixedBatch, config: TrainConfig
+    model: JointModel, clips: Tensor, batch: MixedBatch, config: TrainConfig
 ) -> tuple[Tensor, L.LossReport]:
-    """Forward pass and loss assembly for one mixed batch."""
-    z = model.backbone(Tensor(batch.clips))
+    """Forward pass of ``clips`` and the loss assembly of ``config.mode`` for one mixed batch.
+
+    ``batch`` gives the dataset ids and labels of the rows of ``clips``; the
+    clips come in as a tensor of their own so that the loss can also be
+    differentiated with respect to them.
+    """
+    parts = MODES[config.mode]
+    z = model.backbone(clips)
     per_dataset: dict[int, Tensor] = {}
     counts: dict[int, int] = {}
     for k in range(model.num_datasets):
@@ -164,34 +164,26 @@ def compute_step_loss(
             continue
         zk = gather_rows(z, idx)
         labels = batch.labels[idx]
-        if config.use_projection_loss and model.projections is not None:
+        if parts.projection is None:
+            lk = L.cross_entropy(model.heads(k, zk), labels)
+        else:
             logits = model.heads.all_logits(zk)
-            if config.projection_add:
+            if parts.projection == "add":
                 lk = L.cross_entropy(L.project_logits(k, logits, model.projections), labels)
             else:
                 # Projection branches supervised directly, next to the plain head loss.
                 own = L.cross_entropy(logits[k], labels)
-                proj = L.cross_entropy(
-                    L.projection_only_logits(k, logits, model.projections), labels
-                )
-                lk = own + proj
-        else:
-            lk = L.cross_entropy(model.heads(k, zk), labels)
+                lk = own + L.cross_entropy(L.projection_only_logits(k, logits, model.projections), labels)
         per_dataset[k] = lk
 
     variance = covariance = None
-    if config.use_informative and model.expander is not None:
+    if parts.informative:
         z_exp = model.expander(z)
-        variance = L.variance_loss(z_exp, model.loss_config.eps, model.loss_config.variance_formula)
+        variance = L.variance_loss(z_exp, model.loss_config.eps)
         covariance = L.covariance_loss(z_exp)
 
     return L.total_loss(
-        variance,
-        covariance,
-        per_dataset,
-        None if config.vanilla else model.sigma,
-        counts,
-        model.loss_config.detach_sigma_loss,
+        variance, covariance, per_dataset, model.sigma, counts, model.loss_config.detach_sigma_loss
     )
 
 
@@ -249,7 +241,7 @@ def train_steps(
     for _ in range(num_steps):
         rng = Rng(cfg.seed, stream=_STREAM_BATCH_BASE + state.step)
         batch = sample_mixed_batch(rng, cfg.batch_size, state.suite, cfg.mixing)
-        total, report = compute_step_loss(state.model, batch, cfg)
+        total, report = compute_step_loss(state.model, Tensor(batch.clips), batch, cfg)
         report.check_finite(state.step)
         total.backward()
         if cfg.grad_clip > 0:
@@ -325,11 +317,7 @@ def save_checkpoint(state: TrainState, path) -> None:
     manifest_path = _manifest_path(path)
     arrays = {name: p.data for name, p in state.model.named_parameters()}
     arrays.update(state.opt.named_moments())
-    manifest = {
-        "step": state.step,
-        "config_hash": state.config_hash,
-        "rng_state": {"algorithm": "philox", "seed": state.config.seed, "next_step": state.step},
-    }
+    manifest = {"step": state.step, "config_hash": state.config_hash}
     try:
         save_arrays(staged(path), arrays)
         staged(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")

@@ -17,7 +17,7 @@ from .data import MixedBatch
 from .gradcheck import CheckResult, finite_diff_check
 from .rng import Rng
 from .tensor import Tensor
-from .trainer import LossConfig, TrainConfig, build_model
+from .trainer import LossConfig, TrainConfig, build_model, compute_step_loss
 
 OP_TOL = 1e-5
 MATMUL_TOL = 1e-6
@@ -235,7 +235,7 @@ def _end_to_end_check() -> float:
         ),
         mlp_ratio=2.0,
     )
-    train_cfg = TrainConfig.for_mode("full", seed=5, steps=10, warmup_steps=1, batch_size=4)
+    train_cfg = TrainConfig(mode="full", seed=5, steps=10, warmup_steps=1, batch_size=4)
     model = build_model(backbone_cfg, [3, 2], train_cfg, LossConfig()).to_dtype(np.float64)
     _widen(model, Rng(37, 0), std=0.3)
     batch = MixedBatch(
@@ -247,26 +247,7 @@ def _end_to_end_check() -> float:
     clips0 = Rng(23, 0).uniform((4, 4, 8, 8, 1)).astype(np.float64)
 
     def f(t: Tensor) -> Tensor:
-        return _loss_on_clip_tensor(model, t, batch)
+        return compute_step_loss(model, t, batch, train_cfg)[0]
 
     return finite_diff_check(f, Tensor(clips0), max_coords=192, rng=Rng(29, 0))
 
-
-def _loss_on_clip_tensor(model, clips: Tensor, batch: MixedBatch) -> Tensor:
-    """The full-mode loss assembly, differentiable in the clip tensor."""
-    z = model.backbone(clips)
-    per_dataset = {}
-    for k in range(model.num_datasets):
-        idx = np.flatnonzero(batch.dataset_ids == k)
-        if idx.size == 0:
-            continue
-        zk = T.gather_rows(z, idx)
-        logits = model.heads.all_logits(zk)
-        per_dataset[k] = L.cross_entropy(
-            L.project_logits(k, logits, model.projections), batch.labels[idx]
-        )
-    z_exp = model.expander(z)
-    variance = L.variance_loss(z_exp, model.loss_config.eps)
-    covariance = L.covariance_loss(z_exp)
-    total, _ = L.total_loss(variance, covariance, per_dataset, model.sigma)
-    return total

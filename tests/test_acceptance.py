@@ -208,7 +208,7 @@ def ablation_matrix():
     full_state = None
     for mode in MODES:
         for seed in SEEDS:
-            config = TrainConfig.for_mode(mode, seed=seed)
+            config = TrainConfig(mode=mode, seed=seed)
             state = TrainState.create(BackboneConfig(), suite, config)
             train_steps(state, config.steps)
             results = evaluate(state.model, suite)
@@ -326,13 +326,13 @@ def test_c09_determinism_and_resume(tmp_path):
     suite = generate_synthetic_suite(
         7, NUM_DATASETS, [CLASSES] * NUM_DATASETS, [64] * NUM_DATASETS, [32] * NUM_DATASETS
     )
-    straight = TrainState.create(BackboneConfig(), suite, TrainConfig.for_mode("full", seed=3, steps=240, warmup_steps=60))
+    straight = TrainState.create(BackboneConfig(), suite, TrainConfig(mode="full", seed=3, steps=240, warmup_steps=60))
     train_steps(straight, 240)
 
-    resumed = TrainState.create(BackboneConfig(), suite, TrainConfig.for_mode("full", seed=3, steps=240, warmup_steps=60))
+    resumed = TrainState.create(BackboneConfig(), suite, TrainConfig(mode="full", seed=3, steps=240, warmup_steps=60))
     train_steps(resumed, 120)
     save_checkpoint(resumed, tmp_path / "mid.mttn")
-    fresh = TrainState.create(BackboneConfig(), suite, TrainConfig.for_mode("full", seed=3, steps=240, warmup_steps=60))
+    fresh = TrainState.create(BackboneConfig(), suite, TrainConfig(mode="full", seed=3, steps=240, warmup_steps=60))
     fresh = load_checkpoint(fresh, tmp_path / "mid.mttn")
     train_steps(fresh, 120)
 

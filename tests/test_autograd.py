@@ -264,11 +264,11 @@ def test_training_step_gradients_are_bitwise_the_reference_sweep():
     state = TrainState.create(cfg.backbone_config(), cfg.suite(), cfg.train_config(), cfg.loss_config())
     batch = sample_mixed_batch(Rng(1, 7), 16, state.suite)
     params = dict(state.model.named_parameters())
-    compute_step_loss(state.model, batch, state.config)[0].backward()
+    compute_step_loss(state.model, Tensor(batch.clips), batch, state.config)[0].backward()
     got = {name: p.grad for name, p in params.items()}
     for p in params.values():
         p.grad = None
-    _reference_sweep(compute_step_loss(state.model, batch, state.config)[0])
+    _reference_sweep(compute_step_loss(state.model, Tensor(batch.clips), batch, state.config)[0])
     assert got.keys() == {name for name, p in params.items() if p.grad is not None}
     for name, p in params.items():
         assert got[name].tobytes() == p.grad.tobytes(), name

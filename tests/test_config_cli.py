@@ -38,6 +38,11 @@ warmup_steps = 2
 batch_size = 4
 """
 
+ONE_DATASET_BRANCH_ERROR = (
+    "error: mode wo_informative_wo_projadd trains a separate projection branch, "
+    "which needs at least 2 datasets, got 1"
+)
+
 
 @pytest.fixture()
 def tiny_ini(tmp_path):
@@ -128,7 +133,7 @@ class TestRunConfig:
 
     def test_train_config_mode_wiring(self, tiny_ini):
         cfg = RunConfig.load(tiny_ini)
-        assert cfg.train_config("vanilla").vanilla is True
+        assert cfg.train_config("vanilla").mode == "vanilla"
         assert cfg.train_config().mode == "full"
         with pytest.raises(ConfigError, match="train.mode"):
             cfg.train_config("bare")
@@ -264,6 +269,20 @@ class TestCliTrain:
         assert steps == []
         assert not list(out.glob("*.mttn*"))
 
+    def test_projection_branch_mode_refuses_one_dataset(self, tiny_ini, tmp_path, capsys):
+        """One line and exit 1: this setting had ended in a ContractError traceback at the first step."""
+        out = tmp_path / "run"
+        overrides = ["--set", "datasets.count=1", "--set", "train.mode=wo_informative_wo_projadd"]
+        assert main(["train", "--config", tiny_ini, "--out", str(out), *overrides]) == 1
+        assert capsys.readouterr().err.splitlines() == [ONE_DATASET_BRANCH_ERROR]
+
+    @pytest.mark.parametrize("mode", ["full", "vanilla", "wo_informative", "wo_projection"])
+    def test_other_modes_train_on_one_dataset(self, tiny_ini, tmp_path, mode):
+        out = tmp_path / "run"
+        overrides = ["--set", "datasets.count=1", "--set", f"train.mode={mode}"]
+        assert main(["train", "--config", tiny_ini, "--out", str(out), *overrides]) == 0
+        assert (out / "report.csv").read_text().splitlines()[1].startswith(f"{mode},")
+
 
 class TestCliEvalAndInspect:
     @pytest.fixture()
@@ -362,7 +381,8 @@ class TestCliBadCheckpoint:
         for name in ("truncated", "no_moments", "bad_moment"):
             (root / f"{name}.mttn.json").write_bytes(manifest)
         (root / "bad_manifest.mttn").write_bytes(blob)
-        (root / "bad_manifest.mttn.json").write_bytes(manifest[: len(manifest) // 2])
+        # Cut before the closing brace, so the parser reports what it was expecting.
+        (root / "bad_manifest.mttn.json").write_bytes(manifest[: manifest.rindex(b"}")])
         (root / "no_step.mttn").write_bytes(blob)
         no_step = {k: v for k, v in json.loads(manifest).items() if k != "step"}
         (root / "no_step.mttn.json").write_text(json.dumps(no_step))
@@ -402,6 +422,12 @@ class TestCliAblate:
         assert modes == {"full", "vanilla", "wo_informative", "wo_informative_wo_projadd", "wo_projection"}
         assert (out / "full_seed1" / "report.csv").exists()
         assert (out / "vanilla_seed1" / "metrics.ndjson").exists()
+
+    def test_ablate_refuses_one_dataset_at_the_projection_branch_mode(self, tiny_ini, tmp_path, capsys):
+        out = tmp_path / "abl"
+        code = main(["ablate", "--config", tiny_ini, "--out", str(out), "--seeds", "1", "--set", "datasets.count=1"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [ONE_DATASET_BRANCH_ERROR]
 
     def test_ablate_rejects_non_integer_seed(self, tiny_ini, tmp_path, capsys):
         out = tmp_path / "x"

@@ -14,14 +14,13 @@ from cotrain.data import (
     _BIAS_TEMPLATES,
     AliasEntry,
     BiasProfile,
-    DatasetRegistry,
     DatasetSpec,
     SyntheticSuite,
     _render_clip,
     generate_synthetic_suite,
     sample_mixed_batch,
 )
-from cotrain.errors import BatchSizeError, ConfigError, RegistryError
+from cotrain.errors import BatchSizeError, ConfigError
 from cotrain.rng import Rng
 from cotrain.trainer import TrainConfig, TrainState, evaluate
 
@@ -299,7 +298,7 @@ class TestSplitRendering:
             input_shape=shape, patch=(2, 4, 4), stages=(StageConfig(blocks=1, dim=8, heads=2),), mlp_ratio=2.0
         )
         warm = suite()
-        state = TrainState.create(backbone, warm, TrainConfig.for_mode("full", steps=4, batch_size=4, warmup_steps=1))
+        state = TrainState.create(backbone, warm, TrainConfig(mode="full", steps=4, batch_size=4, warmup_steps=1))
         for spec in warm.specs:
             warm.split_arrays(spec.id, "test")
         want = evaluate(state.model, warm, batch_size=5)
@@ -467,28 +466,6 @@ class TestConceptCorrelation:
                 (matched if b == b_true else unmatched).append(corr)
         assert np.mean(matched) > np.mean(unmatched) + 0.1
         assert min(matched) > max(unmatched)
-
-
-class TestRegistry:
-    def test_lookup_by_id_and_name(self):
-        suite = small_suite()
-        reg = DatasetRegistry(suite.specs)
-        assert reg.by_id(1).name == "briar"
-        assert reg.by_name("aster").id == 0
-        assert len(reg) == 2
-        assert reg.class_counts == (4, 4)
-
-    def test_unknown_keys_rejected(self):
-        reg = DatasetRegistry(small_suite().specs)
-        with pytest.raises(RegistryError):
-            reg.by_id(9)
-        with pytest.raises(RegistryError):
-            reg.by_name("dahlia")
-
-    def test_duplicates_rejected(self):
-        spec = small_suite().specs[0]
-        with pytest.raises(RegistryError):
-            DatasetRegistry([spec, spec])
 
 
 class TestMixedBatchSampling:

@@ -44,18 +44,6 @@ class TestVarianceLoss:
         err = finite_diff_check(lambda v: L.variance_loss(v), t64(x))
         assert err < 1e-7
 
-    def test_printed_variant_is_flat(self):
-        # Raw deviations cancel, leaving a constant with no gradient.
-        z = t64(Rng(41, 1).normal((4, 3)))
-        loss = L.variance_loss(z, eps=1e-4, formula="printed")
-        npt.assert_allclose(float(loss.data), 0.99, atol=1e-9)
-        loss.backward()
-        npt.assert_allclose(z.grad, 0.0, atol=1e-12)
-
-    def test_unknown_formula_rejected(self):
-        with pytest.raises(ConfigError):
-            L.variance_loss(t64([[0.0], [1.0]]), formula="hinge")
-
     def test_single_row_rejected(self):
         with pytest.raises(BatchSizeError):
             L.variance_loss(t64([[1.0, 2.0]]))

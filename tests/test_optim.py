@@ -240,7 +240,7 @@ def _legacy_steps(state, num_steps):
     for t in range(1, num_steps + 1):
         rng = Rng(cfg.seed, stream=trainer._STREAM_BATCH_BASE + state.step)
         batch = sample_mixed_batch(rng, cfg.batch_size, state.suite, cfg.mixing)
-        total, report = trainer.compute_step_loss(state.model, batch, cfg)
+        total, report = trainer.compute_step_loss(state.model, Tensor(batch.clips), batch, cfg)
         total.backward()
         norms.append(_legacy_clip(list(opt.params.values()), cfg.grad_clip))
         counts.append(report.counts)
@@ -298,7 +298,7 @@ class TestSameBitsAsPerTensorLoop:
             7, num_datasets=4, class_counts=[3, 4, 5, 6], train_sizes=[8, 8, 8, 8], concept_count=24,
             test_sizes=[2, 2, 2, 2], clip_shape=shape,
         )
-        config = trainer.TrainConfig.for_mode("full", steps=8, batch_size=4, warmup_steps=2, weight_decay=0.05)
+        config = trainer.TrainConfig(mode="full", steps=8, batch_size=4, warmup_steps=2, weight_decay=0.05)
         counts = _assert_same_training(lambda: trainer.TrainState.create(backbone, suite, config), 6)
         # Some step left a dataset out, so its head and bank rows had no gradient.
         assert any(0 in c.values() for c in counts)
