@@ -29,6 +29,7 @@ from .tensor_io import load_arrays, save_arrays
 from .trainer import (
     MODES,
     TrainState,
+    check_mode_fits,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -270,9 +271,11 @@ def _parse_seeds(text: str) -> list[int]:
 def cmd_ablate(args) -> int:
     seeds = _parse_seeds(str(args.seeds))
     cfg = _load_config(args)
+    suite_names = [spec.name for spec in cfg.suite().specs]
+    for mode in MODES:  # refuse an impossible mode before any run is written or trained
+        check_mode_fits(mode, len(suite_names))
     out = _prepare_out(args, "ablate")
     write_resolved(cfg, out)
-    suite_names = [spec.name for spec in cfg.suite().specs]
     acc: dict[tuple[str, str], list[tuple[float, float]]] = {}
     steps = cfg.get("train", "steps")
     for mode in MODES:

@@ -13,9 +13,11 @@ Clip synthesis is a pure function of ``(suite seed, dataset id, sample id)``;
 train and test splits partition the sample-id space, so no id appears in both.
 
 Rendering.  A clip is rendered with the rest of its split: the first
-``SyntheticSuite.clip`` that misses renders the whole train or test split of
-that dataset into one float32 ``(N, T, H, W, C)`` array, and the cache keeps
-one row view of it per ``(dataset id, sample id)``.  The split's ids are cut
+``SyntheticSuite.clip`` or ``split_arrays`` that misses renders the whole
+train or test split of that dataset into one float32 ``(N, T, H, W, C)``
+array.  The suite keeps that array per ``(dataset id, split)``, which
+``split_arrays`` returns as a read-only view, and one row view of it per
+``(dataset id, sample id)``, which ``clip`` returns.  The split's ids are cut
 into chunks of about ``RENDER_CHUNK`` frame elements, run as the items of
 ``tensor.map_items``, so on two CPUs two chunks render at once; each item
 writes its own rows.  Inside a chunk every clip draws its start and its
@@ -25,9 +27,9 @@ computed at once, in place, with each clip's elementwise operations in the
 order of a one-clip render (``_render_clip`` is the one-clip case of the
 same function).  A clip's bits therefore do not depend on the chunking, the
 worker count or the order of the misses.  A miss inside an item of
-``map_items`` (``evaluate`` stacks its batches there) renders the split in that
-thread, its chunks in order, under a per-suite lock, so a split renders once
-even when both threads miss on it.
+``map_items`` renders the split in that thread, its chunks in order.  Misses
+render under a per-suite lock, so a split renders once even when several
+threads miss on it.
 """
 from __future__ import annotations
 
@@ -172,6 +174,7 @@ class SyntheticSuite:
         self.assignment = tuple(tuple(row) for row in assignment)
         self.clip_shape = clip_shape
         self._alias_map: Optional[AliasMap] = None
+        self._splits: dict[tuple[int, str], np.ndarray] = {}  # (dataset id, split) -> its clips
         self._cache: dict[tuple[int, int], np.ndarray] = {}  # (dataset id, sample id) -> row view
         self._render_lock = threading.Lock()
 
@@ -211,11 +214,19 @@ class SyntheticSuite:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        split = self._split_of(dataset_id, sample_id)
-        with self._render_lock:
-            if key not in self._cache:
-                self._render_split(dataset_id, split)
+        self._rendered(dataset_id, self._split_of(dataset_id, sample_id))
         return self._cache[key]
+
+    def _rendered(self, dataset_id: int, split: str) -> np.ndarray:
+        """The array of one split's clips, rendered on first use."""
+        key = (dataset_id, split)
+        clips = self._splits.get(key)
+        if clips is None:
+            with self._render_lock:
+                if key not in self._splits:
+                    self._render_split(dataset_id, split)
+            clips = self._splits[key]
+        return clips
 
     def _split_of(self, dataset_id: int, sample_id: int) -> str:
         spec = self.specs[dataset_id]
@@ -245,6 +256,7 @@ class SyntheticSuite:
         map_items(render, [slice(start, start + per_item) for start in range(0, len(ids), per_item)])
         for sid, view in zip(ids, clips):
             self._cache[(dataset_id, sid)] = view
+        self._splits[(dataset_id, split)] = clips
 
     def split_ids(self, dataset_id: int, split: str) -> np.ndarray:
         """Sample ids of the ``train`` or ``test`` split."""
@@ -255,11 +267,11 @@ class SyntheticSuite:
         raise ConfigError(f"split must be 'train' or 'test', got '{split}'")
 
     def split_arrays(self, dataset_id: int, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """All clips and labels of one split, stacked."""
+        """All clips of one split in id order, as a read-only view of the rendered split, and their labels."""
         ids = self.split_ids(dataset_id, split)
-        clips = np.stack([self.clip(dataset_id, int(i)) for i in ids])
-        labels = np.array([self.label_of(dataset_id, int(i)) for i in ids], dtype=np.int64)
-        return clips, labels
+        clips = self._rendered(dataset_id, split).view()
+        clips.flags.writeable = False
+        return clips, ids % self.specs[dataset_id].num_classes
 
 
 def _render_clip(

@@ -53,6 +53,19 @@ MODES = {
 }
 
 
+def check_mode_fits(mode: str, dataset_count: int) -> None:
+    """Refuse with ConfigError a mode that cannot train on ``dataset_count`` datasets.
+
+    A mode that supervises the projection branch on its own needs another
+    dataset to project from, so it refuses fewer than two.
+    """
+    if MODES[mode].projection == "branch" and dataset_count < 2:
+        raise ConfigError(
+            f"mode {mode} trains a separate projection branch, which needs "
+            f"at least 2 datasets, got {dataset_count}"
+        )
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer, schedule and batching settings, plus the training ``mode``: a key of :data:`MODES`."""
@@ -125,15 +138,11 @@ def build_model(
 ) -> JointModel:
     """Instantiate a model with exactly the components the mode trains.
 
-    A mode that supervises the projection branch on its own needs another
-    dataset to project from, so it refuses fewer than two with ConfigError.
+    A mode that cannot train on this many datasets is refused first, as
+    :func:`check_mode_fits` refuses it.
     """
+    check_mode_fits(train_config.mode, len(class_counts))
     parts = MODES[train_config.mode]
-    if parts.projection == "branch" and len(class_counts) < 2:
-        raise ConfigError(
-            f"mode {train_config.mode} trains a separate projection branch, which needs "
-            f"at least 2 datasets, got {len(class_counts)}"
-        )
     rng = Rng(train_config.seed, stream=_STREAM_INIT)
     backbone = Backbone(backbone_config, rng)
     dim = backbone_config.embed_dim
@@ -266,34 +275,33 @@ def evaluate(
 
     Each dataset's split is cut into batches of ``batch_size`` clips in id
     order, the last one shorter.  The batches of every dataset are spread
-    across the tensor pool as independent items, each stacking its own clips
-    from the suite's cache, so every batch's logits are those a serial loop
+    across the tensor pool as independent items, each a row range of the
+    suite's rendered split, so every batch's logits are those a serial loop
     over the same batches would give, for any worker count.
     """
     if batch_size < 1:
         raise ConfigError(f"eval batch size must be >= 1, got {batch_size}")
-    batches = []  # (dataset id, sample ids)
-    for spec in suite.specs:
-        ids = suite.split_ids(spec.id, split)
-        batches += [(spec.id, ids[start : start + batch_size]) for start in range(0, len(ids), batch_size)]
+    splits = {spec.id: suite.split_arrays(spec.id, split) for spec in suite.specs}
+    batches = [  # (dataset id, first row)
+        (k, start) for k, (_, labels) in splits.items() for start in range(0, len(labels), batch_size)
+    ]
 
     def hits(batch) -> tuple[int, int]:
-        k, ids = batch
-        clips = np.stack([suite.clip(k, int(i)) for i in ids])
-        truth = np.array([suite.label_of(k, int(i)) for i in ids], dtype=np.int64)
-        logits = model.heads(k, model.backbone(Tensor(clips))).data
+        k, start = batch
+        clips, labels = splits[k]
+        truth = labels[start : start + batch_size]
+        logits = model.heads(k, model.backbone(Tensor(clips[start : start + batch_size]))).data
         order = np.argsort(-logits, axis=1)
         top5 = order[:, : min(5, logits.shape[1])]
         return int((order[:, 0] == truth).sum()), int((top5 == truth[:, None]).any(axis=1).sum())
 
     with no_grad():
         counts = map_items(hits, batches)
-    totals = {spec.id: [0, 0, 0] for spec in suite.specs}
-    for (k, ids), (hits1, hits5) in zip(batches, counts):
+    totals = {spec.id: [0, 0, len(splits[spec.id][1])] for spec in suite.specs}
+    for (k, _), (hits1, hits5) in zip(batches, counts):
         total = totals[k]
         total[0] += hits1
         total[1] += hits5
-        total[2] += len(ids)
     return {k: EvalResult(top1=h1 / n, top5=h5 / n, count=n) for k, (h1, h5, n) in totals.items()}
 
 

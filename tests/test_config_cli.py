@@ -424,10 +424,14 @@ class TestCliAblate:
         assert (out / "vanilla_seed1" / "metrics.ndjson").exists()
 
     def test_ablate_refuses_one_dataset_at_the_projection_branch_mode(self, tiny_ini, tmp_path, capsys):
+        """Refused before any mode trains: this had trained full, vanilla and wo_informative first."""
         out = tmp_path / "abl"
         code = main(["ablate", "--config", tiny_ini, "--out", str(out), "--seeds", "1", "--set", "datasets.count=1"])
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == [ONE_DATASET_BRANCH_ERROR]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [ONE_DATASET_BRANCH_ERROR]
+        assert not [line for line in captured.out.splitlines() if line.startswith("done:")]
+        assert not out.exists()  # refused before the run directory is made
 
     def test_ablate_rejects_non_integer_seed(self, tiny_ini, tmp_path, capsys):
         out = tmp_path / "x"

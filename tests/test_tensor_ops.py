@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import weakref
 import zlib
 
 import numpy as np
@@ -567,6 +568,24 @@ def test_helper_error_reaches_the_caller_and_the_pool_still_works(workers, use_p
         m.setattr(T, "SPLIT_SIZE", 1 << 62)
         whole = T.gelu(Tensor(x)).data
     assert np.array_equal(T.gelu(Tensor(x)).data, whole)  # ops still split on the pool
+
+
+def test_a_drain_left_queued_keeps_no_work_alive(use_pool):
+    """The caller does not wait for a helper that has not woken; that helper's
+    queued drain must not keep the finished work's arrays alive until it does."""
+    use_pool(2)
+    gate = threading.Event()
+    T._tasks.put(gate.wait)  # the helper blocks here, so the caller runs every index
+    try:
+        ran = []
+        payload = np.zeros(4)
+        gone = weakref.ref(payload)
+        T._spread(lambda i, captured=payload: ran.append(i), 2)
+        del payload
+        assert ran == [0, 1]
+        assert gone() is None
+    finally:
+        gate.set()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
