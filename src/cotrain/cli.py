@@ -5,6 +5,12 @@ Subcommands: ``train``, ``eval``, ``gradcheck``, ``ablate``,
 configuration problems, 2 verification failure (gradient checks over
 threshold), 3 numeric failure (non-finite loss or gradient norm during training).
 
+Each command resolves and checks its whole config, and builds every state it
+will train, before it writes anything, so a refused command exits 1 and
+leaves no run directory.  The run itself (steps, evaluations, checkpoints) is
+:func:`cotrain.trainer.run`; ``train`` and ``ablate`` add the argument
+handling and the report.
+
 Run directories are append-only: a second run aimed at a non-empty directory
 is refused unless ``--force`` is given, which clears it first.
 """
@@ -25,16 +31,8 @@ from .config import RunConfig, write_resolved
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .libc import mallopt
 from .losses import top_projection_pairs
-from .tensor_io import load_arrays, save_arrays
-from .trainer import (
-    MODES,
-    TrainState,
-    check_mode_fits,
-    evaluate,
-    load_checkpoint,
-    save_checkpoint,
-    train_steps,
-)
+from .tensor_io import save_arrays
+from .trainer import MODES, EvalResult, TrainState, evaluate, load_checkpoint, run
 from .verify import run_all
 
 EXIT_OK = 0
@@ -129,69 +127,19 @@ def _write_report(path: Path, rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
-def _eval_settings(cfg: RunConfig) -> tuple[int, int]:
-    """``report.eval_every`` and ``report.eval_batch``; out-of-range values are a usage error."""
-    every, batch = cfg.get("report", "eval_every"), cfg.get("report", "eval_batch")
-    if every < 0:
-        raise ConfigError(f"report.eval_every must be 0 (final evaluation only) or a positive step count, got {every}")
-    if batch < 1:
-        raise ConfigError(f"report.eval_batch must be >= 1, got {batch}")
-    return every, batch
-
-
-def _checkpoint_every(cfg: RunConfig) -> int:
-    """``train.checkpoint_every``; a negative value is a usage error."""
-    every = cfg.get("train", "checkpoint_every")
-    if every < 0:
-        raise ConfigError(
-            f"train.checkpoint_every must be 0 (final checkpoint only) or a positive step count, got {every}"
+def _report_rows(state: TrainState, results: dict[int, EvalResult]) -> list[tuple]:
+    """One ``REPORT_HEADER`` row per dataset of a finished run."""
+    return [
+        (
+            state.config.mode,
+            spec.name,
+            _pct(results[spec.id].top1),
+            _pct(results[spec.id].top5),
+            state.step,
+            state.config.seed,
         )
-    return every
-
-
-def _run_training(cfg: RunConfig, out: Path, mode: Optional[str] = None, seed: Optional[int] = None):
-    """Train one model per the config; returns (state, eval results)."""
-    eval_every, eval_batch = _eval_settings(cfg)
-    ckpt_every = _checkpoint_every(cfg)
-    suite = cfg.suite()
-    train_cfg = cfg.train_config(mode=mode, seed=seed)
-    state = TrainState.create(
-        cfg.backbone_config(), suite, train_cfg, cfg.loss_config(), config_hash=cfg.hash()
-    )
-
-    metrics_path = out / "metrics.ndjson"
-    with open(metrics_path, "w") as metrics:
-
-        def write_evals(step, results):
-            for spec in suite.specs:
-                r = results[spec.id]
-                record = {"kind": "eval", "step": step, "dataset": spec.name, "top1": r.top1, "top5": r.top5}
-                metrics.write(json.dumps(record) + "\n")
-
-        def on_report(step, lr, report):
-            record = {
-                "kind": "step",
-                "step": step,
-                "lr": lr,
-                "total": report.total,
-                "variance": report.variance,
-                "covariance": report.covariance,
-                "ce": {str(k): v for k, v in report.per_dataset.items()},
-                "sigma": {str(k): v for k, v in (report.sigmas or {}).items()},
-                "counts": {str(k): v for k, v in report.counts.items()},
-            }
-            metrics.write(json.dumps(record) + "\n")
-            done = step + 1
-            if eval_every and (done % eval_every == 0) and done < train_cfg.steps:
-                write_evals(done, evaluate(state.model, suite, batch_size=eval_batch))
-            if ckpt_every and (done % ckpt_every == 0) and done < train_cfg.steps:
-                save_checkpoint(state, out / f"checkpoint_{done}.mttn")
-
-        train_steps(state, train_cfg.steps, on_report)
-        results = evaluate(state.model, suite, batch_size=eval_batch)
-        write_evals(state.step, results)
-    save_checkpoint(state, out / f"checkpoint_{state.step}.mttn")
-    return state, results
+        for spec in state.suite.specs
+    ]
 
 
 def _load_checkpoint(state: TrainState, path) -> None:
@@ -206,21 +154,11 @@ def _load_checkpoint(state: TrainState, path) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    settings = cfg.run_settings()
+    state = cfg.train_state()
     out = _prepare_out(args, "train")
     write_resolved(cfg, out)
-    state, results = _run_training(cfg, out)
-    suite = state.suite
-    rows = [
-        (
-            state.config.mode,
-            spec.name,
-            _pct(results[spec.id].top1),
-            _pct(results[spec.id].top5),
-            state.step,
-            state.config.seed,
-        )
-        for spec in suite.specs
-    ]
+    rows = _report_rows(state, run(state, out, **settings))
     _write_report(out / "report.csv", rows)
     for row in rows:
         print(f"{row[0]:>24}  {row[1]:<8} top1={row[2]:>8}  top5={row[3]:>8}")
@@ -230,14 +168,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    _, eval_batch = _eval_settings(cfg)
-    suite = cfg.suite()
-    state = TrainState.create(
-        cfg.backbone_config(), suite, cfg.train_config(), cfg.loss_config(), config_hash=cfg.hash()
-    )
+    eval_batch = cfg.run_settings()["eval_batch"]
+    state = cfg.train_state()
     _load_checkpoint(state, args.checkpoint)
-    results = evaluate(state.model, suite, batch_size=eval_batch)
-    for spec in suite.specs:
+    results = evaluate(state.model, state.suite, batch_size=eval_batch)
+    for spec in state.suite.specs:
         r = results[spec.id]
         print(f"{spec.name:<8} top1={_pct(r.top1):>8}  top5={_pct(r.top5):>8}  n={r.count}")
     return EXIT_OK
@@ -271,33 +206,33 @@ def _parse_seeds(text: str) -> list[int]:
 def cmd_ablate(args) -> int:
     seeds = _parse_seeds(str(args.seeds))
     cfg = _load_config(args)
-    suite_names = [spec.name for spec in cfg.suite().specs]
-    for mode in MODES:  # refuse an impossible mode before any run is written or trained
-        check_mode_fits(mode, len(suite_names))
+    settings = cfg.run_settings()
+    suite = cfg.suite()
+    # Every run's state is built before the run directory is made, so a setting
+    # no mode can train with is refused before anything is written or trained.
+    states = [cfg.train_state(suite, mode=mode, seed=seed) for mode in MODES for seed in seeds]
     out = _prepare_out(args, "ablate")
     write_resolved(cfg, out)
     acc: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    steps = cfg.get("train", "steps")
-    for mode in MODES:
-        for seed in seeds:
-            run_dir = out / f"{mode}_seed{seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            state, results = _run_training(cfg, run_dir, mode=mode, seed=seed)
-            rows = []
-            for spec in state.suite.specs:
-                r = results[spec.id]
-                acc.setdefault((mode, spec.name), []).append((r.top1, r.top5))
-                rows.append((mode, spec.name, _pct(r.top1), _pct(r.top5), state.step, seed))
-            _write_report(run_dir / "report.csv", rows)
-            print(f"done: {mode} seed={seed}")
+    while states:
+        state = states.pop(0)  # dropped once its run is written
+        mode, seed = state.config.mode, state.config.seed
+        run_dir = out / f"{mode}_seed{seed}"
+        run_dir.mkdir(parents=True, exist_ok=True)
+        results = run(state, run_dir, **settings)
+        for spec in suite.specs:
+            acc.setdefault((mode, spec.name), []).append((results[spec.id].top1, results[spec.id].top5))
+        _write_report(run_dir / "report.csv", _report_rows(state, results))
+        print(f"done: {mode} seed={seed}")
     seed_tag = ";".join(str(s) for s in seeds)
+    steps = cfg.get("train", "steps")
     rows = []
     for mode in MODES:
-        for name in suite_names:
-            pairs = acc[(mode, name)]
+        for spec in suite.specs:
+            pairs = acc[(mode, spec.name)]
             top1 = sum(p[0] for p in pairs) / len(pairs)
             top5 = sum(p[1] for p in pairs) / len(pairs)
-            rows.append((mode, name, _pct(top1), _pct(top5), steps, seed_tag))
+            rows.append((mode, spec.name, _pct(top1), _pct(top5), steps, seed_tag))
     _write_report(out / "ablate.csv", rows)
     for row in rows:
         print(f"{row[0]:>28}  {row[1]:<8} top1={row[2]:>8}  top5={row[3]:>8}")
@@ -310,10 +245,8 @@ def cmd_inspect_projections(args) -> int:
     sibling = ckpt.parent / "resolved_config.cfg"
     if args.config is None and sibling.exists():
         cfg = RunConfig.load(str(sibling), args.overrides)
-    suite = cfg.suite()
-    state = TrainState.create(
-        cfg.backbone_config(), suite, cfg.train_config(), cfg.loss_config(), config_hash=cfg.hash()
-    )
+    state = cfg.train_state()
+    suite = state.suite
     if state.model.projections is None:
         raise ConfigError("this mode trains no projection bank; nothing to inspect")
     bank = state.model.projections
@@ -362,9 +295,9 @@ def cmd_dump_dataset(args) -> int:
     if args.limit < 0:
         raise ConfigError(f"--limit must be 0 (whole split) or a positive count, got {args.limit}")
     cfg = _load_config(args)
+    suite = cfg.suite()
     out = _prepare_out(args, "dump")
     write_resolved(cfg, out)
-    suite = cfg.suite()
     arrays = {}
     index = []
     for spec in suite.specs:

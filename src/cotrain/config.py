@@ -18,16 +18,7 @@ from typing import Any, Optional
 from .backbone import BackboneConfig, StageConfig
 from .data import BiasProfile, SyntheticSuite, generate_synthetic_suite
 from .errors import ConfigError
-from .trainer import LossConfig, TrainConfig
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+from .trainer import LossConfig, TrainConfig, TrainState
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -47,7 +38,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 _PARSERS = {
     "int": int,
     "float": float,
-    "bool": _parse_bool,
     "str": lambda s: s.strip(),
     "ints": _parse_int_list,
     "floats": _parse_float_list,
@@ -55,8 +45,6 @@ _PARSERS = {
 
 
 def _render(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(_render(v) for v in value)
     return str(value)
@@ -84,7 +72,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "eps": ("float", 1e-4),
         "expander_hidden": ("int", 0),
         "sigma_init": ("float", 1.0),
-        "detach_sigma_loss": ("bool", False),
     },
     "datasets": {
         "seed": ("int", 7),
@@ -222,7 +209,6 @@ class RunConfig:
             eps=v["eps"],
             expander_hidden=v["expander_hidden"],
             sigma_init=v["sigma_init"],
-            detach_sigma_loss=v["detach_sigma_loss"],
         )
 
     def train_config(self, mode: Optional[str] = None, seed: Optional[int] = None) -> TrainConfig:
@@ -241,6 +227,41 @@ class RunConfig:
             grad_clip=v["grad_clip"],
             seed=seed if seed is not None else v["seed"],
             mixing=self.values["datasets"]["mixing"],
+        )
+
+    def run_settings(self) -> dict[str, int]:
+        """``report.eval_every``, ``report.eval_batch`` and ``train.checkpoint_every``, keyed as :func:`trainer.run` takes them.
+
+        Out-of-range values are a usage error.
+        """
+        eval_every, eval_batch = self.get("report", "eval_every"), self.get("report", "eval_batch")
+        checkpoint_every = self.get("train", "checkpoint_every")
+        if eval_every < 0:
+            raise ConfigError(
+                f"report.eval_every must be 0 (final evaluation only) or a positive step count, got {eval_every}"
+            )
+        if eval_batch < 1:
+            raise ConfigError(f"report.eval_batch must be >= 1, got {eval_batch}")
+        if checkpoint_every < 0:
+            raise ConfigError(
+                f"train.checkpoint_every must be 0 (final checkpoint only) or a positive step count, got {checkpoint_every}"
+            )
+        return {"eval_every": eval_every, "eval_batch": eval_batch, "checkpoint_every": checkpoint_every}
+
+    def train_state(
+        self, suite: Optional[SyntheticSuite] = None, mode: Optional[str] = None, seed: Optional[int] = None
+    ) -> TrainState:
+        """A fresh state for this config, its checkpoints tagged with :meth:`hash`.
+
+        ``mode`` and ``seed`` are as in :meth:`train_config`; ``suite`` is a new
+        :meth:`suite` unless runs share one.
+        """
+        return TrainState.create(
+            self.backbone_config(),
+            self.suite() if suite is None else suite,
+            self.train_config(mode=mode, seed=seed),
+            self.loss_config(),
+            config_hash=self.hash(),
         )
 
     def suite(self) -> SyntheticSuite:

@@ -212,29 +212,14 @@ class SigmaParams(Module):
         return np.exp(self.log_sigma.data)
 
 
-def uncertainty_weighted_sum(
-    per_dataset: Mapping[int, Tensor],
-    sigma: Tensor,
-    detach_sigma_loss: bool = False,
-) -> Tensor:
-    """``sum_k L_k / (2 sigma_k^2) + ln sigma_k`` over the datasets present.
-
-    With ``detach_sigma_loss`` the sigma parameters are trained against
-    detached branch losses: the combined value is unchanged, but no gradient
-    flows from the sigma terms back into the network.
-    """
+def uncertainty_weighted_sum(per_dataset: Mapping[int, Tensor], sigma: Tensor) -> Tensor:
+    """``sum_k L_k / (2 sigma_k^2) + ln sigma_k`` over the datasets present."""
     if not per_dataset:
         raise ContractError("uncertainty_weighted_sum needs at least one dataset loss")
     total = None
     for k in sorted(per_dataset):
-        lk = per_dataset[k]
         sk = T.gather_rows(sigma, np.array([k]))
-        if detach_sigma_loss:
-            term = lk.detach() / (2.0 * sk * sk) + T.log(sk) + (lk - lk.detach()) / (
-                2.0 * float(sk.item()) ** 2
-            )
-        else:
-            term = lk / (2.0 * sk * sk) + T.log(sk)
+        term = per_dataset[k] / (2.0 * sk * sk) + T.log(sk)
         total = term if total is None else total + term
     return total.sum()
 
@@ -267,7 +252,6 @@ def total_loss(
     per_dataset: Mapping[int, Tensor],
     sigma_params: Optional[SigmaParams],
     counts: Optional[Mapping[int, int]] = None,
-    detach_sigma_loss: bool = False,
 ) -> tuple[Tensor, LossReport]:
     """Combine loss components into the training scalar plus a report.
 
@@ -285,7 +269,7 @@ def total_loss(
         sigmas = None
     else:
         sigma = sigma_params.sigma()
-        total = uncertainty_weighted_sum(per_dataset, sigma, detach_sigma_loss)
+        total = uncertainty_weighted_sum(per_dataset, sigma)
         vals = sigma_params.values()
         sigmas = {k: float(vals[k]) for k in sorted(per_dataset)}
     if variance is not None:

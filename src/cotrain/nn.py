@@ -48,9 +48,6 @@ class Module:
         for name, child in self._children():
             yield from child.named_parameters(prefix + name + ".")
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 

@@ -8,6 +8,10 @@ A training mode is a row of :data:`MODES`, which names the parts it trains;
 assembles the loss from them.  ``vanilla`` is independent heads under a plain
 sum of cross-entropies.
 
+:func:`run` drives one training run: the steps, the evaluations and the
+checkpoints, written into a run directory.  Every command that trains goes
+through it.
+
 Every random draw is keyed by ``(seed, stream)`` where the stream encodes its
 role (init vs. the batch of step ``t``), so a checkpoint only needs parameter
 and moment arrays plus the step counter to resume bit-exactly.
@@ -53,19 +57,6 @@ MODES = {
 }
 
 
-def check_mode_fits(mode: str, dataset_count: int) -> None:
-    """Refuse with ConfigError a mode that cannot train on ``dataset_count`` datasets.
-
-    A mode that supervises the projection branch on its own needs another
-    dataset to project from, so it refuses fewer than two.
-    """
-    if MODES[mode].projection == "branch" and dataset_count < 2:
-        raise ConfigError(
-            f"mode {mode} trains a separate projection branch, which needs "
-            f"at least 2 datasets, got {dataset_count}"
-        )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer, schedule and batching settings, plus the training ``mode``: a key of :data:`MODES`."""
@@ -102,7 +93,6 @@ class LossConfig:
     eps: float = 1e-4
     expander_hidden: int = 0  # 0 means twice the embedding width
     sigma_init: float = 1.0
-    detach_sigma_loss: bool = False
 
     def hidden_for(self, dim: int) -> int:
         return self.expander_hidden if self.expander_hidden > 0 else 2 * dim
@@ -138,11 +128,15 @@ def build_model(
 ) -> JointModel:
     """Instantiate a model with exactly the components the mode trains.
 
-    A mode that cannot train on this many datasets is refused first, as
-    :func:`check_mode_fits` refuses it.
+    A mode that supervises the projection branch on its own needs another
+    dataset to project from, so it refuses fewer than two with ConfigError.
     """
-    check_mode_fits(train_config.mode, len(class_counts))
     parts = MODES[train_config.mode]
+    if parts.projection == "branch" and len(class_counts) < 2:
+        raise ConfigError(
+            f"mode {train_config.mode} trains a separate projection branch, which needs "
+            f"at least 2 datasets, got {len(class_counts)}"
+        )
     rng = Rng(train_config.seed, stream=_STREAM_INIT)
     backbone = Backbone(backbone_config, rng)
     dim = backbone_config.embed_dim
@@ -191,9 +185,7 @@ def compute_step_loss(
         variance = L.variance_loss(z_exp, model.loss_config.eps)
         covariance = L.covariance_loss(z_exp)
 
-    return L.total_loss(
-        variance, covariance, per_dataset, model.sigma, counts, model.loss_config.detach_sigma_loss
-    )
+    return L.total_loss(variance, covariance, per_dataset, model.sigma, counts)
 
 
 @dataclass
@@ -355,3 +347,55 @@ def load_checkpoint(state: TrainState, path) -> TrainState:
     state.step = step
     state.opt.t = step
     return state
+
+
+# -- runs -----------------------------------------------------------------------
+
+
+def run(state: TrainState, out, eval_every: int, eval_batch: int, checkpoint_every: int) -> dict[int, EvalResult]:
+    """Train ``state`` for ``state.config.steps`` steps, writing the run into the directory ``out``.
+
+    ``metrics.ndjson`` gets one ``step`` record per step, then one ``eval``
+    record per dataset (test split, batches of ``eval_batch``) after every
+    ``eval_every`` steps and after the last.  ``checkpoint_<step>.mttn`` is
+    written after every ``checkpoint_every`` steps and after the last.  A
+    cadence of 0 means after the last step only.  Returns the final evaluation.
+    """
+    out = Path(out)
+    steps = state.config.steps
+    with open(out / "metrics.ndjson", "w") as metrics:
+
+        def write(record: dict) -> None:
+            metrics.write(json.dumps(record) + "\n")
+
+        def write_evals(step: int) -> dict[int, EvalResult]:
+            results = evaluate(state.model, state.suite, batch_size=eval_batch)
+            for spec in state.suite.specs:
+                r = results[spec.id]
+                write({"kind": "eval", "step": step, "dataset": spec.name, "top1": r.top1, "top5": r.top5})
+            return results
+
+        def on_report(step: int, lr: float, report: L.LossReport) -> None:
+            write(
+                {
+                    "kind": "step",
+                    "step": step,
+                    "lr": lr,
+                    "total": report.total,
+                    "variance": report.variance,
+                    "covariance": report.covariance,
+                    "ce": {str(k): v for k, v in report.per_dataset.items()},
+                    "sigma": {str(k): v for k, v in (report.sigmas or {}).items()},
+                    "counts": {str(k): v for k, v in report.counts.items()},
+                }
+            )
+            done = step + 1
+            if eval_every and done % eval_every == 0 and done < steps:
+                write_evals(done)
+            if checkpoint_every and done % checkpoint_every == 0 and done < steps:
+                save_checkpoint(state, out / f"checkpoint_{done}.mttn")
+
+        train_steps(state, steps, on_report)
+        results = write_evals(state.step)
+    save_checkpoint(state, out / f"checkpoint_{state.step}.mttn")
+    return results

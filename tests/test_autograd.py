@@ -13,7 +13,7 @@ from cotrain.errors import ContractError, GraphError, ShapeError
 from cotrain.gradcheck import finite_diff_check
 from cotrain.rng import Rng
 from cotrain.tensor import Tensor, no_grad
-from cotrain.trainer import TrainState, compute_step_loss
+from cotrain.trainer import compute_step_loss
 
 
 def leaf(data):
@@ -295,7 +295,7 @@ def test_sweep_releases_the_nodes_it_has_passed(workers, use_pool):
 
 def test_training_step_gradients_are_bitwise_the_reference_sweep():
     cfg = RunConfig.load(None, [])
-    state = TrainState.create(cfg.backbone_config(), cfg.suite(), cfg.train_config(), cfg.loss_config())
+    state = cfg.train_state()
     batch = sample_mixed_batch(Rng(1, 7), 16, state.suite)
     params = dict(state.model.named_parameters())
     compute_step_loss(state.model, Tensor(batch.clips), batch, state.config)[0].backward()

@@ -1,4 +1,5 @@
 """Config schema and CLI behavior tests, kept fast with a tiny model."""
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from cotrain import cli
 from cotrain import libc as libc_module
+from cotrain import trainer
 from cotrain.cli import main
 from cotrain.config import SCHEMA, RunConfig, write_resolved
 from cotrain.errors import ConfigError
@@ -42,6 +44,67 @@ ONE_DATASET_BRANCH_ERROR = (
     "error: mode wo_informative_wo_projadd trains a separate projection branch, "
     "which needs at least 2 datasets, got 1"
 )
+
+
+# sha256 of what ``train`` (checkpoints every 2 steps, evals every 3) and
+# ``ablate --seeds 1`` write on TINY_INI, recorded at commit 0608056.  The
+# manifests and resolved_config.cfg hold the config hash and are checked by
+# their keys instead.
+TRAIN_DIGESTS = {
+    "checkpoint_2.mttn": "97e8562bb21fb6626a4d95783545e6f94c47acab24f3e4e62056b3ee4e2a1c32",
+    "checkpoint_4.mttn": "51d8519879ab7b4422af40e8fcb33214e0b15b0cf76a3038c91fad5823914716",
+    "checkpoint_6.mttn": "ba79013d04b108f162de93feb68e495a5b7d0d98592bffcc615e992b1b3208db",
+    "metrics.ndjson": "b5f4ecdbe8b071c27a325930b99fd5cc0709f46bdcda949f4cafe7ad8ce987cc",
+    "report.csv": "f35d09548e3601575554ea9ff20b2ecddad6134a15194cbc359193c335008f03",
+}
+ABLATE_DIGESTS = {
+    "ablate.csv": "6b0b7ac438d5323206d8525e0cc395393c27760765645892a0580442d23a1698",
+    "full_seed1/checkpoint_6.mttn": "ba79013d04b108f162de93feb68e495a5b7d0d98592bffcc615e992b1b3208db",
+    "full_seed1/metrics.ndjson": "c944c744116ea05968bb1bfc3f57de716276b2491c40434396285f4f9feb8c48",
+    "full_seed1/report.csv": "f35d09548e3601575554ea9ff20b2ecddad6134a15194cbc359193c335008f03",
+    "vanilla_seed1/checkpoint_6.mttn": "c71ea5ac4eb635083f01a44b92b1df8161298a8e96125beb24e72fbb1681b375",
+    "vanilla_seed1/metrics.ndjson": "2761b84c35051c9211fe31009b26fb8350a010809042c9097f0b5201087110a8",
+    "vanilla_seed1/report.csv": "fb9d54c5c214e23711870740fcd10f08108363dc6d3be76e92f82ae648661403",
+    "wo_informative_seed1/checkpoint_6.mttn": "332fa98704802b0c7d87ff05798fb5fba4dca38aeb573b0178d92d3ee7864ed6",
+    "wo_informative_seed1/metrics.ndjson": "0a7fd46185c13d95eab4d25dc77f35e1ed92d7f15c67f63529384b72f1fcafc2",
+    "wo_informative_seed1/report.csv": "2fdd012a1f32cacd8bb5f33e6ec03416adccd1adf255a1697b37e3ddd0937ec9",
+    "wo_informative_wo_projadd_seed1/checkpoint_6.mttn": "383b7e24201de24a647b632292b361d26e15eb654424194a95da788ac6358190",
+    "wo_informative_wo_projadd_seed1/metrics.ndjson": "9d711514c94d436f6ef563bb543e67e2fe738fa08bce1aed28f7e19435061745",
+    "wo_informative_wo_projadd_seed1/report.csv": "6860febe8f68c9817ca4347afc103fa2f817cd21ad115027e88f0a1c12e7f309",
+    "wo_projection_seed1/checkpoint_6.mttn": "0c0385cea47ec63131ff13240a98db85860fc643bb6158b4af51467058f56847",
+    "wo_projection_seed1/metrics.ndjson": "cd1163d291243561c2c9aaf2a6584362eaaa7a69e6a4a0d79d962203728c6b85",
+    "wo_projection_seed1/report.csv": "41614c62cacca3bd85a051c4cdd85d52a39a8e31971c53719a24ea29ba32a882",
+}
+
+# A command and a setting it refuses, with the one line it prints.  Each had
+# exited 1 only after making its --out directory and writing
+# resolved_config.cfg there, so the corrected command was then refused as
+# "not empty"; the ablation had also made an empty full_seed1/.
+REFUSED_SETTINGS = {
+    "train-steps": (["train", "--set", "train.steps=2"], "warmup_steps must lie in [0, steps), got 2 of 2"),
+    "train-mode": (
+        ["train", "--set", "train.mode=bogus"],
+        f"train.mode must be one of {tuple(trainer.MODES)}, got 'bogus'",
+    ),
+    "train-eval-batch": (["train", "--set", "report.eval_batch=0"], "report.eval_batch must be >= 1, got 0"),
+    "train-stage-dims": (
+        ["train", "--set", "backbone.stage_dims=8,16"],
+        "backbone stage lists must have equal lengths",
+    ),
+    "train-branch-mode": (
+        ["train", "--set", "datasets.count=1", "--set", "train.mode=wo_informative_wo_projadd"],
+        ONE_DATASET_BRANCH_ERROR.removeprefix("error: "),
+    ),
+    "ablate-eval-batch": (
+        ["ablate", "--seeds", "1", "--set", "report.eval_batch=0"],
+        "report.eval_batch must be >= 1, got 0",
+    ),
+    "ablate-steps": (["ablate", "--seeds", "1", "--set", "train.steps=2"], "warmup_steps must lie in [0, steps), got 2 of 2"),
+    "dump-classes": (
+        ["dump-dataset", "--set", "datasets.classes=4,4,4"],
+        "datasets.classes needs 1 or 2 comma-separated values, got 3",
+    ),
+}
 
 
 @pytest.fixture()
@@ -100,12 +163,6 @@ class TestRunConfig:
         changed = RunConfig.load(None, ["train.seed=2"])
         assert base.hash() != changed.hash()
         assert base.hash() == RunConfig.load(None).hash()
-
-    def test_bool_parsing(self):
-        cfg = RunConfig.load(None, ["loss.detach_sigma_loss=yes"])
-        assert cfg.get("loss", "detach_sigma_loss") is True
-        with pytest.raises(ConfigError):
-            RunConfig.load(None, ["loss.detach_sigma_loss=maybe"])
 
     def test_backbone_materialization(self, tiny_ini):
         bb = RunConfig.load(tiny_ini).backbone_config()
@@ -223,8 +280,8 @@ class TestCliTrain:
             calls.append((suite, results))
             return results
 
-        real_evaluate = cli.evaluate
-        monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+        real_evaluate = trainer.evaluate
+        monkeypatch.setattr(trainer, "evaluate", counting_evaluate)
         out = tmp_path / "run"
         code = main(["train", "--config", tiny_ini, "--out", str(out), "--set", "report.eval_every=2"])
         assert code == 0
@@ -251,7 +308,7 @@ class TestCliTrain:
     def test_bad_eval_setting_is_refused_before_training(self, tiny_ini, tmp_path, monkeypatch, capsys, setting, message):
         """One line and exit 1, and no step runs: ``eval_batch=-4`` had reported top-1 0.0 for every dataset."""
         steps = []
-        monkeypatch.setattr(cli, "train_steps", lambda *args: steps.append(args))
+        monkeypatch.setattr(trainer, "train_steps", lambda *args: steps.append(args))
         out = tmp_path / "run"
         assert main(["train", "--config", tiny_ini, "--out", str(out), "--set", setting]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
@@ -260,7 +317,7 @@ class TestCliTrain:
     def test_negative_checkpoint_every_is_refused_before_training(self, tiny_ini, tmp_path, monkeypatch, capsys):
         """One line and exit 1: ``-2`` had written checkpoints at steps 2, 4 and 6."""
         steps = []
-        monkeypatch.setattr(cli, "train_steps", lambda *args: steps.append(args))
+        monkeypatch.setattr(trainer, "train_steps", lambda *args: steps.append(args))
         out = tmp_path / "run"
         assert main(["train", "--config", tiny_ini, "--out", str(out), "--set", "train.checkpoint_every=-2"]) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -444,6 +501,45 @@ class TestCliAblate:
     def test_ablate_rejects_empty_seeds(self, tiny_ini, tmp_path):
         code = main(["ablate", "--config", tiny_ini, "--out", str(tmp_path / "x"), "--seeds", " "])
         assert code == 1
+
+
+class TestCliRefusals:
+    @pytest.mark.parametrize("argv, message", REFUSED_SETTINGS.values(), ids=REFUSED_SETTINGS.keys())
+    def test_a_refused_setting_writes_nothing(self, tiny_ini, tmp_path, monkeypatch, capsys, argv, message):
+        """Exit 1 with one line, no training step and no --out path."""
+        steps = []
+        monkeypatch.setattr(trainer, "train_steps", lambda *args: steps.append(args))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", tiny_ini, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert steps == []
+        assert not out.exists()
+
+
+class TestRunBytes:
+    """What a run writes, byte for byte; only the manifests' config hash may differ."""
+
+    @staticmethod
+    def _check(out, digests, manifests):
+        files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert files == sorted([*digests, *manifests, "resolved_config.cfg"])
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+        for name, step in manifests.items():
+            manifest = json.loads((out / name).read_text())
+            assert sorted(manifest) == ["config_hash", "step"]
+            assert manifest["step"] == step
+
+    def test_train_writes_the_recorded_bytes(self, tiny_ini, tmp_path):
+        out = tmp_path / "run"
+        settings = ["--set", "train.checkpoint_every=2", "--set", "report.eval_every=3"]
+        assert main(["train", "--config", tiny_ini, "--out", str(out), *settings]) == 0
+        self._check(out, TRAIN_DIGESTS, {f"checkpoint_{step}.mttn.json": step for step in (2, 4, 6)})
+
+    def test_ablate_writes_the_recorded_bytes(self, tiny_ini, tmp_path):
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", tiny_ini, "--out", str(out), "--seeds", "1"]) == 0
+        runs = {name.split("/")[0] for name in ABLATE_DIGESTS if "/" in name}
+        self._check(out, ABLATE_DIGESTS, {f"{run}/checkpoint_6.mttn.json": 6 for run in runs})
 
 
 class TestCliDumpDataset:

@@ -25,12 +25,10 @@ PERFBENCH = ROOT / "perfbench"
 TRAIN_AND_HASH = """
 import hashlib
 from cotrain.config import RunConfig
-from cotrain.trainer import TrainState, train_steps
+from cotrain.trainer import train_steps
 
 cfg = RunConfig.load(None, [])
-state = TrainState.create(
-    cfg.backbone_config(), cfg.suite(), cfg.train_config(), cfg.loss_config(), cfg.hash()
-)
+state = cfg.train_state()
 train_steps(state, 5, lambda step, lr, report: None)
 h = hashlib.sha256()
 for name, p in state.model.named_parameters():
@@ -51,7 +49,7 @@ if sys.argv[1] == "1":
 from cotrain import tensor
 from cotrain.config import RunConfig
 from cotrain.tensor import Tensor, no_grad
-from cotrain.trainer import TrainState, train_steps
+from cotrain.trainer import train_steps
 
 calls = []
 split = tensor._split
@@ -62,9 +60,7 @@ tensor._split = counting_split
 
 overrides = ["train.mode=vanilla", "backbone.input_h=32", "backbone.input_w=32", "backbone.stage_dims=32,64"]
 cfg = RunConfig.load(None, overrides)
-state = TrainState.create(
-    cfg.backbone_config(), cfg.suite(), cfg.train_config(), cfg.loss_config(), cfg.hash()
-)
+state = cfg.train_state()
 train_steps(state, 3, lambda step, lr, report: None)
 params = hashlib.sha256()
 for name, p in state.model.named_parameters():

@@ -211,15 +211,6 @@ class TestUncertaintyWeighting:
         assert float(total.data) == 10.0
         assert report.sigmas is None
 
-    def test_detached_sigma_keeps_value_and_network_grad(self):
-        lk = t64(4.0)
-        sigma = self.make_sigma([2.0])
-        total, _ = L.total_loss(None, None, {0: lk * 1.0}, sigma, detach_sigma_loss=True)
-        npt.assert_allclose(float(total.data), 4.0 / 8.0 + math.log(2.0), atol=1e-9)
-        total.backward()
-        npt.assert_allclose(lk.grad, 1.0 / 8.0, atol=1e-9)
-        npt.assert_allclose(sigma.log_sigma.grad[0], -4.0 / 4.0 + 1.0, atol=1e-9)
-
     def test_regularizers_enter_unweighted(self):
         sigma = self.make_sigma([1.0])
         total, report = L.total_loss(t64(0.25), t64(0.5), {0: t64(2.0)}, sigma)

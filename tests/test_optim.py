@@ -284,10 +284,7 @@ class TestSameBitsAsPerTensorLoop:
     def test_default_config(self):
         cfg = RunConfig.load(None, [])
         suite = cfg.suite()
-        _assert_same_training(
-            lambda: trainer.TrainState.create(cfg.backbone_config(), suite, cfg.train_config(), cfg.loss_config()),
-            3,
-        )
+        _assert_same_training(lambda: cfg.train_state(suite), 3)
 
     def test_multi_dataset_run_with_absent_datasets(self):
         shape = (4, 8, 8, 1)

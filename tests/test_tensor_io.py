@@ -20,7 +20,7 @@ from cotrain.config import RunConfig
 from cotrain.errors import ConfigError, FormatError
 from cotrain.rng import Rng
 from cotrain.tensor_io import MAGIC, load_arrays, save_arrays
-from cotrain.trainer import TrainState, save_checkpoint, train_steps
+from cotrain.trainer import save_checkpoint, train_steps
 
 _TAG_BY_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _DTYPE_BY_TAG = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -138,7 +138,7 @@ def test_checkpoints_match_the_legacy_format(workload, tmp_path):
     """A trained benchmark state gives the legacy bytes, and both readers agree on them."""
     workloads = _load_workloads()
     cfg = RunConfig.load(None, workloads.overrides_for(workloads.WORKLOADS[workload], 1))
-    state = TrainState.create(cfg.backbone_config(), cfg.suite(), cfg.train_config(), cfg.loss_config(), cfg.hash())
+    state = cfg.train_state()
     train_steps(state, 2)
     path, legacy = tmp_path / "checkpoint.mttn", tmp_path / "legacy.mttn"
     save_checkpoint(state, path)
