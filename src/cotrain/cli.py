@@ -200,6 +200,10 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"--seeds must be comma-separated integers, got '{text}'") from None
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
+    # A repeated seed would train the same runs twice into one directory.
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"--seeds names seed {','.join(map(str, repeated))} more than once")
     return seeds
 
 

@@ -1,19 +1,20 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-The graph is taped implicitly: every operation records its parent tensors and
-a backward rule on its output.  ``Tensor.backward`` runs a single reverse
-topological sweep, accumulates gradients into every tensor that requires them,
-and then retires the tape, so each training step builds a fresh graph.  There
-is no higher-order differentiation.
+The graph is taped implicitly: every operation gives its output a node that
+holds its operands' nodes and a backward rule.  ``Tensor.backward`` runs a
+single reverse topological sweep, accumulates gradients into every tensor that
+requires them, and then retires the tape, so each training step builds a fresh
+graph.  There is no higher-order differentiation.
 
 Data lives in row-major numpy arrays, float32 by default; gradient checks use
 float64 throughout.
 
 What a node costs.  Besides its numpy calls, every node pays a fixed Python
-cost: the op's wrapper, the output tensor, and its turn in the topological
-sort and the sweep.  The benchmark's small workloads are dispatch-bound (299
-nodes a step on default_full, about 480 on many_heads_full, most on arrays of
-a few thousand elements), so that cost is kept low.  Op outputs are built
+cost: the op's wrapper, the output tensor and its node, and its turn in the
+topological sort and the sweep.  The benchmark's small workloads are
+dispatch-bound (299 nodes a step on default_full, about 480 on
+many_heads_full, most on arrays of a few thousand elements), so that cost is
+kept low.  Op outputs are built
 without ``Tensor.__init__``'s coercion; the sort marks nodes with a per-sweep
 number instead of keying a dict by ``id()`` and never visits leaves;
 reductions call ``np.add.reduce`` and ``np.maximum.reduce`` rather than the
@@ -23,20 +24,26 @@ operands' arrays directly when both are tensors.  On a 2-core Xeon VM (numpy
 2.4.6), a reshape node took about 1 us forward and 1 us more in the sweep,
 and a transpose 2.3 us forward, where ``np.argsort`` had made it 5.2 us.
 
-How long a node lives.  A node's output array, its gradient and its backward
-rule, with the arrays the rule captured, live as long as something references
-the node: the nodes built on it, the caller, and during ``backward`` the
-sweep's order.  The sweep pops that order as it runs and a consumer drops its
-parents once its rule has run, so an interior node the caller no longer holds
-is freed right after its own rule, and the step's memory falls as the sweep
-goes instead of staying at its forward-pass height until the sweep returns.
-On a 2-core Xeon VM (seed 1, after two warm steps), the most numpy allocated
-during one training step, as ``tracemalloc`` counts it, fell from 20.6 to
-13.4 MB on the benchmark's default_full, from 13.6 to 9.2 MB on
-many_heads_full and from 216.0 to 131.7 MB on wide_clip_vanilla when the
-sweep stopped holding its whole order to the end.  A tensor the caller keeps
-(the loss, a parameter, an activation in a variable) keeps its array and its
-``.grad``.
+How long a node lives.  Each taped op output gets a small graph node
+(``_Node``): its operands' nodes, its backward rule, its gradient, its dtype
+and the sweep's marks.  Consumers reference that node, never the output
+tensor, and each rule captures only the arrays it reads: shapes alone for add,
+sub, reshape, transpose, sum and mean; for mul, div and matmul the other
+operand only when that side needs a gradient; softmax its output.  An op
+output's array therefore lives only while the caller holds its tensor or a
+rule saved it, so the pre-bias matmul outputs and the raw and scaled attention
+scores go as soon as the forward pass moves past them.  The sweep pops its
+order as it runs and drops each node's rule and parents once the rule has run,
+so a node the caller does not hold is freed right after its rule, with the
+arrays its rule captured.  A tensor the caller keeps (the loss, a parameter, an
+activation in a variable) keeps its array and its ``.grad``.  On a 2-core Xeon
+VM (seed 1, after two warm steps), the most numpy allocated during one
+training step, as ``tracemalloc`` counts it, was 20.6 MB on the benchmark's
+default_full while the sweep held its whole order to the end, 13.4 MB once it
+freed each node it had passed (with nodes still holding their operands'
+tensors) and 6.6 MB with nodes that keep only what their rules read; 13.6,
+9.2 and 5.0 MB on many_heads_full; 216.0, 131.7 and 59.1 MB on
+wide_clip_vanilla.
 
 A speed-up of the tape must keep four things, or the benchmark's counts or
 the trained bits move:
@@ -182,6 +189,16 @@ class count_ops:
 # 2^19 (48); default_full made 20 splits a step at 2^17 and ran 13 % slower,
 # and none at 2^18.  Waking a helper costs 80-280 us there, so smaller ops lose.
 SPLIT_SIZE = 1 << 18
+
+# Elements of attention scores that evaluation holds at a time.  Without a tape,
+# ``backbone.PooledAttention`` computes scores, softmax and their product with
+# the values over blocks of this many score elements' worth of batch rows, so a
+# whole batch's scores never exist at once.  Each block issues the per-(clip,
+# head) GEMMs the whole batch would, so the logits keep their bits.  Measured
+# on a 2-core Xeon VM: on the benchmark's wide_clip_vanilla (64-clip batches
+# of (2, 256, 256) scores, so 16-row blocks), one evaluation's traced numpy
+# peak fell from 119-152 to 61-69 MB, and evaluation was no slower.
+ATTENTION_BLOCK_SIZE = 1 << 21
 
 # Most threads a pool runs, the caller included.  Every timing behind
 # SPLIT_SIZE came from 2 CPUs.  On 64, an op of SPLIT_SIZE elements would cut
@@ -450,8 +467,30 @@ def _contiguous(src: np.ndarray) -> np.ndarray:
     return _split(chunk, src.shape[0], [(src.shape, src.dtype)])
 
 
+class _Node:
+    """An op output's entry on the tape: how to send its gradient on, and nothing of its array.
+
+    ``parents`` holds one reference per operand: the operand's own node, the
+    operand itself when it is a leaf that requires grad (the sweep adds into
+    its ``grad`` and casts to its ``dtype`` as it is when the sweep runs), or
+    ``None`` when it needs no gradient.  ``rule(grad)`` returns one gradient
+    per operand; the sweep drops it and the parents once it has run, so a
+    node with no rule has been swept.  ``mark`` is the sweep that last
+    visited the node (see :func:`_topo_order`).
+    """
+
+    __slots__ = ("parents", "rule", "grad", "dtype", "mark")
+
+    def __init__(self, parents: tuple, rule: Callable, dtype: np.dtype):
+        self.parents = parents
+        self.rule = rule
+        self.grad: Optional[np.ndarray] = None
+        self.dtype = dtype
+        self.mark = 0
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_swept", "_mark")
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -460,12 +499,22 @@ class Tensor:
         elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
-        self._swept = False
-        self._mark = 0  # the sweep that last visited this node; see _topo_order
+        self._grad: Optional[np.ndarray] = None  # a leaf's gradient; an op output's is on its node
+        self._node: Optional[_Node] = None  # set on the outputs of ops that are taped
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        node = self._node
+        return self._grad if node is None else node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        node = self._node
+        if node is None:
+            self._grad = value
+        else:
+            node.grad = value
 
     # -- basic introspection ------------------------------------------------
 
@@ -562,12 +611,12 @@ class Tensor:
         """Backpropagate from a scalar and retire the tape.
 
         Gradients accumulate into ``.grad`` of every reachable tensor with
-        ``requires_grad``.  The sweep consumes its order as it runs, so an
-        interior node the caller no longer references is released as soon as
-        its own rule has run: its output array, its gradient and its backward
-        rule with the arrays the rule captured.  A tensor the caller still
-        holds keeps its ``.grad``.  A second call on the same output raises
-        :class:`GraphError`; build a new forward graph instead.
+        ``requires_grad``.  The sweep consumes its order as it runs, so a node
+        is released as soon as its own rule has run, with the arrays the rule
+        captured, unless the caller still holds its tensor, which keeps its
+        ``.grad``.  A second call on the same op output raises
+        :class:`GraphError`; build a new forward graph instead.  On a leaf,
+        which has no tape, it sets the leaf's gradient to ones.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -575,30 +624,27 @@ class Tensor:
             )
         if not self.requires_grad:
             raise ContractError("backward on a tensor that does not require grad")
-        if self._swept:
+        root = self._node
+        if root is None:  # the root is itself a leaf
+            self._grad = np.ones(self.data.shape, dtype=self.data.dtype)
+            return
+        if root.rule is None:
             raise GraphError("tape already consumed; run a new forward pass before backward")
 
-        order = _topo_order(self)
-        self.grad = np.ones(self.data.shape, dtype=self.data.dtype)
+        order = _topo_order(root)
+        root.grad = np.ones(self.data.shape, dtype=self.data.dtype)
         while order:  # popping from the end is the reverse post-order
             node = order.pop()
-            fn = node._backward_fn
-            if fn is None:  # the root is itself a leaf
-                continue
-            for parent, g in zip(node._parents, fn(node.grad)):
-                if g is None or not parent.requires_grad:
+            for parent, g in zip(node.parents, node.rule(node.grad)):
+                if g is None or parent is None:
                     continue
-                dtype = parent.data.dtype
+                dtype = parent.dtype
                 if g.dtype is not dtype and g.dtype != dtype:
                     g = g.astype(dtype)
-                if parent.grad is None:
-                    parent.grad = g
-                else:
-                    parent.grad = _binary(np.add, parent.grad, g)
-            node._backward_fn = None
-            node._parents = ()
-            node._swept = True
-        self._swept = True
+                grad = parent.grad
+                parent.grad = g if grad is None else _binary(np.add, grad, g)
+            node.rule = None
+            node.parents = ()
 
 
 # Each sweep takes the next even number: a node it has entered is marked with
@@ -607,33 +653,32 @@ class Tensor:
 _sweep_marks = itertools.count(2, 2)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order over the interior nodes that lead to ``root`` (parents first).
+def _topo_order(root: _Node) -> list[_Node]:
+    """Iterative post-order over the nodes that lead to ``root`` (parents first).
 
     Leaves (parameters and inputs) are never pushed: the sweep has nothing to
-    run for them, and skipping them leaves the order of the interior nodes as
-    a sweep over every grad-requiring ancestor would give it.
+    run for them, and skipping them leaves the order of the nodes as a sweep
+    over every grad-requiring ancestor would give it.
     """
     entered = next(_sweep_marks)
-    order: list[Tensor] = []
+    order: list[_Node] = []
     stack = [root]
     while stack:
         node = stack[-1]
-        mark = node._mark
+        mark = node.mark
         if mark < entered:
-            node._mark = entered
-            for p in node._parents:
-                if p.requires_grad and p._mark < entered:
-                    if p._backward_fn is not None:
-                        stack.append(p)
-                    elif p._swept:
+            node.mark = entered
+            for p in node.parents:
+                if type(p) is _Node and p.mark < entered:
+                    if p.rule is None:
                         raise GraphError(
                             "graph shares nodes with an already-consumed tape; rebuild the forward pass"
                         )
+                    stack.append(p)
         else:
             stack.pop()
             if mark == entered:
-                node._mark = entered + 1
+                node.mark = entered + 1
                 order.append(node)
     return order
 
@@ -658,12 +703,15 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
 _new_tensor = object.__new__
 
 
-def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward, name: str, flops: int = 0) -> Tensor:
-    """The output node of an op, built without ``Tensor.__init__``'s coercion.
+def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], rule, name: str, flops: int = 0) -> Tensor:
+    """The output tensor of an op, built without ``Tensor.__init__``'s coercion.
 
     Op outputs are already float arrays of the dtype numpy gives them, except
     that a ufunc or full reduction over 0-d operands returns a numpy scalar,
-    which is wrapped back into a 0-d array here.
+    which is wrapped back into a 0-d array here.  When a tape is being built
+    and an operand requires grad, the output gets a :class:`_Node` that
+    references the operands' nodes, not the operands, so the output's array
+    lives only as long as the caller holds the tensor or a rule captured it.
     """
     if _counter is not None:
         _counter.add(name, flops)
@@ -671,20 +719,18 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward, name: str,
         data = np.asarray(data)
     out = _new_tensor(Tensor)
     out.data = data
-    out.grad = None
-    out._swept = False
-    out._mark = 0
+    out._grad = None
+    out._node = None
+    out.requires_grad = False
     if _grad_enabled:
         # A plain loop: ``any()`` over a generator cost about 1 us per node.
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True
-                out._parents = parents
-                out._backward_fn = backward
-                return out
-    out.requires_grad = False
-    out._parents = ()
-    out._backward_fn = None
+                out._node = _Node(
+                    tuple([q._node or (q if q.requires_grad else None) for q in parents]), rule, data.dtype
+                )
+                break
     return out
 
 
@@ -709,10 +755,12 @@ def add(a, b) -> Tensor:
         a, b = _operands(a, b)
     x, y = a.data, b.data
     data = _binary(np.add, x, y)
+    x_shape, y_shape = x.shape, y.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        ga = _unbroadcast(g, x.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, y.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, x_shape) if need_a else None
+        gb = _unbroadcast(g, y_shape) if need_b else None
         return ga, gb
 
     return _from_op(data, (a, b), backward, "add", data.size)
@@ -723,10 +771,12 @@ def sub(a, b) -> Tensor:
         a, b = _operands(a, b)
     x, y = a.data, b.data
     data = _binary(np.subtract, x, y)
+    x_shape, y_shape = x.shape, y.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(g):
-        ga = _unbroadcast(g, x.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g, y.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, x_shape) if need_a else None
+        gb = _unbroadcast(-g, y_shape) if need_b else None
         return ga, gb
 
     return _from_op(data, (a, b), backward, "sub", data.size)
@@ -737,10 +787,14 @@ def mul(a, b) -> Tensor:
         a, b = _operands(a, b)
     x, y = a.data, b.data
     data = _binary(np.multiply, x, y)
+    x_shape, y_shape = x.shape, y.shape
+    # Each side's gradient reads the other operand: keep it only for a side that needs one.
+    y_for_a = y if a.requires_grad else None
+    x_for_b = x if b.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(_binary(np.multiply, g, y), x.shape) if a.requires_grad else None
-        gb = _unbroadcast(_binary(np.multiply, g, x), y.shape) if b.requires_grad else None
+        ga = None if y_for_a is None else _unbroadcast(_binary(np.multiply, g, y_for_a), x_shape)
+        gb = None if x_for_b is None else _unbroadcast(_binary(np.multiply, g, x_for_b), y_shape)
         return ga, gb
 
     return _from_op(data, (a, b), backward, "mul", data.size)
@@ -751,10 +805,15 @@ def div(a, b) -> Tensor:
         a, b = _operands(a, b)
     x, y = a.data, b.data
     data = _binary(np.divide, x, y)
+    x_shape, y_shape = x.shape, y.shape
+    need_a = a.requires_grad
+    # Both gradients read the divisor; only the divisor's reads the dividend.
+    y_kept = y if need_a or b.requires_grad else None
+    x_for_b = x if b.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(_binary(np.divide, g, y), x.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * x / (y * y), y.shape) if b.requires_grad else None
+        ga = _unbroadcast(_binary(np.divide, g, y_kept), x_shape) if need_a else None
+        gb = None if x_for_b is None else _unbroadcast(-g * x_for_b / (y_kept * y_kept), y_shape)
         return ga, gb
 
     return _from_op(data, (a, b), backward, "div", data.size)
@@ -856,9 +915,10 @@ def gelu(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = a.data
     data = x.reshape(shape)
+    x_shape = x.shape
 
     def backward(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(x_shape),)
 
     return _from_op(data, (a,), backward, "reshape")
 
@@ -894,9 +954,10 @@ def gather_rows(a: Tensor, index) -> Tensor:
             f"gather_rows index out of range for leading extent {x.shape[0]}"
         )
     data = x[idx]
+    x_shape = x.shape
 
     def backward(g):
-        out = np.zeros(x.shape, dtype=g.dtype)
+        out = np.zeros(x_shape, dtype=g.dtype)
         np.add.at(out, idx, g)
         return (out,)
 
@@ -955,9 +1016,10 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = a.data
     axes, _, kept = _reduction_setup(x, axis)
     data = np.add.reduce(x, axes, None, None, keepdims)
+    x_shape = x.shape
 
     def backward(g):
-        out = np.empty(x.shape, dtype=g.dtype)
+        out = np.empty(x_shape, dtype=g.dtype)
         np.copyto(out, g if keepdims else g.reshape(kept))
         return (out,)
 
@@ -968,12 +1030,13 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = a.data
     axes, count, kept = _reduction_setup(x, axis)
     data = _mean(x, axes, count, keepdims)
+    x_shape = x.shape
 
     def backward(g):
         # ``astype`` of the broadcast view keeps the memory order it gives,
         # which the gradients downstream of a mean over tokens depend on.
         full = g if keepdims else g.reshape(kept)
-        return (np.broadcast_to(full / count, x.shape).astype(g.dtype),)
+        return (np.broadcast_to(full / count, x_shape).astype(g.dtype),)
 
     return _from_op(data, (a,), backward, "mean", x.size)
 
@@ -993,16 +1056,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = _matmul(x, y)
     except ValueError as err:
         raise ShapeError(f"matmul batch dims do not broadcast: {x.shape} @ {y.shape}") from err
+    x_shape, y_shape = x.shape, y.shape
+    # Each side's gradient reads the other operand: keep it only for a side that needs one.
+    y_for_a = y if a.requires_grad else None
+    x_for_b = x if b.requires_grad else None
 
     def backward(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(_matmul(g, y.swapaxes(-1, -2)), x.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(_matmul(x.swapaxes(-1, -2), g), y.shape)
+        ga = None if y_for_a is None else _unbroadcast(_matmul(g, y_for_a.swapaxes(-1, -2)), x_shape)
+        gb = None if x_for_b is None else _unbroadcast(_matmul(x_for_b.swapaxes(-1, -2), g), y_shape)
         return ga, gb
 
-    return _from_op(data, (a, b), backward, "matmul", 2 * data.size * x.shape[-1])
+    return _from_op(data, (a, b), backward, "matmul", 2 * data.size * x_shape[-1])
 
 
 # -- neural-net primitives ----------------------------------------------------
@@ -1028,7 +1092,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             ga *= d
             return ga
 
-        return (_rowwise(chunk, [(x.shape, _result_dtype(g, data))], g, data, axis=axis),)
+        return (_rowwise(chunk, [(data.shape, _result_dtype(g, data))], g, data, axis=axis),)
 
     return _from_op(data, (a,), backward, "softmax", 5 * x.size)
 
@@ -1049,7 +1113,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
             gr = g[r]
             return np.subtract(gr, np.exp(data[r]) * np.add.reduce(gr, axis, None, None, True), out=ga)
 
-        return (_rowwise(chunk, [(x.shape, _result_dtype(g, data))], g, data, axis=axis),)
+        return (_rowwise(chunk, [(data.shape, _result_dtype(g, data))], g, data, axis=axis),)
 
     return _from_op(data, (a,), backward, "log_softmax", 5 * x.size)
 
@@ -1082,15 +1146,16 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     like = [(shape, x.dtype), (shape[:-1] + (1,), x.dtype), (shape, _result_dtype(gamma_data, x))]
     xhat, inv, data = _rowwise(forward, like, x, axis=-1)
+    need_a, need_gamma, need_beta = a.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def backward(g):
         ga = dgamma = dbeta = None
         lead = tuple(range(len(shape) - 1))
-        if gamma.requires_grad:
+        if need_gamma:
             dgamma = np.add.reduce(g * xhat, lead)
-        if beta.requires_grad:
+        if need_beta:
             dbeta = np.add.reduce(g, lead)
-        if a.requires_grad:
+        if need_a:
 
             def chunk(r, ga=None):
                 xh = xhat[r]
@@ -1160,17 +1225,19 @@ def conv3d(
         win_mat = win.reshape(m, kt * kh * kw * cin)
     data = np.matmul(win_mat, k_mat).reshape(b, to, ho, wo, cout)
     flops = 2 * data.size * kt * kh * kw * cin
+    need_x = x.requires_grad
+    win_for_k = win_mat if kernel.requires_grad else None  # only the kernel's gradient reads the windows
 
     def backward(g):
         gx = gk = None
         g_mat = g.reshape(m, cout)
-        if kernel.requires_grad:
-            gk = np.matmul(win_mat.T, g_mat).reshape(kt, kh, kw, cin, cout)
-        if x.requires_grad and tiled:
+        if win_for_k is not None:
+            gk = np.matmul(win_for_k.T, g_mat).reshape(kt, kh, kw, cin, cout)
+        if need_x and tiled:
             # Each input element sits in exactly one window: col2im is the inverse transpose.
             gx = np.matmul(g_mat, k_mat.T).reshape(b, to, ho, wo, kt, kh, kw, cin)
             gx = _contiguous(gx.transpose(0, 1, 4, 2, 5, 3, 6, 7)).reshape(b, t, h, w, cin)
-        elif x.requires_grad:
+        elif need_x:
             gxp = np.zeros((b, tp, hp, wp, cin), dtype=g.dtype)
             for i in range(kt):
                 for j in range(kh):

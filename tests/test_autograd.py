@@ -1,6 +1,7 @@
 """Reverse-mode tape semantics: accumulation, consumption, error contracts."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -167,9 +168,7 @@ def test_finite_diff_agrees_on_composed_function():
 def test_finite_diff_catches_wrong_gradient():
     # a deliberately broken backward rule must blow past any sane threshold
     def broken_square(v):
-        out = Tensor(v.data * v.data, requires_grad=True)
-        out._parents = (v,)
-        out._backward_fn = lambda g: (g * 3.0 * v.data,)  # wrong: should be 2x
+        out = T._from_op(v.data * v.data, (v,), lambda g: (g * 3.0 * v.data,), "mul")  # wrong: should be 2x
         return out.sum()
 
     x = Tensor(np.array([0.7, -1.3]))
@@ -199,15 +198,17 @@ def _reference_sweep(root):
     """The reverse sweep as first written: a dict keyed by ``id()`` for the
     post-order over every grad-requiring ancestor, then one accumulation per
     parent in that order.  Kept frozen, so the tape's sweep is held to its bits.
+    An ancestor is a tape node or a leaf tensor; only nodes have parents and
+    a rule.
     """
-    order, state, stack = [], {}, [root]
+    order, state, stack = [], {}, [root._node]
     while stack:
         node = stack[-1]
         st = state.get(id(node))
         if st is None:
             state[id(node)] = 0
-            for p in node._parents:
-                if p.requires_grad and state.get(id(p)) is None:
+            for p in node.parents if isinstance(node, T._Node) else ():
+                if p is not None and state.get(id(p)) is None:
                     stack.append(p)
         elif st == 0:
             stack.pop()
@@ -217,13 +218,13 @@ def _reference_sweep(root):
             stack.pop()
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node._backward_fn is None:
+        if not isinstance(node, T._Node):
             continue
-        for parent, g in zip(node._parents, node._backward_fn(node.grad)):
-            if g is None or not parent.requires_grad:
+        for parent, g in zip(node.parents, node.rule(node.grad)):
+            if g is None or parent is None:
                 continue
-            if g.dtype != parent.data.dtype:
-                g = g.astype(parent.data.dtype)
+            if g.dtype != parent.dtype:
+                g = g.astype(parent.dtype)
             parent.grad = g if parent.grad is None else np.add(parent.grad, g)
 
 
@@ -257,9 +258,41 @@ def test_fan_out_gradient_is_bitwise_the_reference_sweep():
     _reference_sweep(ref_loss)
     # z is an interior node the caller still holds: the sweep retires its
     # tape entry but leaves it its gradient.
-    assert z._swept and z._parents == () and z._backward_fn is None
+    assert z._node.parents == () and z._node.rule is None
     assert z.grad.dtype == np.float32
     assert z.grad.tobytes() == ref_z.grad.tobytes()
+    for got, want in zip(leaves, ref_leaves):
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def _attention_graph():
+    """``softmax((a @ b) * s) @ v``, summed, over float32 leaves; returns the loss,
+    weakrefs to the arrays of ``a @ b`` and ``(a @ b) * s``, and the leaves.  The
+    caller holds no interior tensor.  The scores hold SPLIT_SIZE elements, so on
+    two workers the ops split."""
+    rng = np.random.default_rng(3)
+
+    def param(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    a, b, v = param(8, 2, 128, 16), param(8, 2, 16, 128), param(8, 2, 128, 16)
+    scores = a @ b
+    scaled = scores * 0.25
+    refs = [weakref.ref(scores.data), weakref.ref(scaled.data)]
+    loss = (T.softmax(scaled, axis=-1) @ v).sum()
+    return loss, refs, (a, b, v)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_tape_keeps_only_the_arrays_its_rules_read(workers, use_pool):
+    # No rule reads the scores or the scaled scores (softmax's reads its
+    # output), so they are gone once the caller drops their tensors.
+    use_pool(workers)
+    loss, refs, leaves = _attention_graph()
+    assert [ref() for ref in refs] == [None, None]
+    loss.backward()
+    ref_loss, _, ref_leaves = _attention_graph()
+    _reference_sweep(ref_loss)
     for got, want in zip(leaves, ref_leaves):
         assert got.grad.tobytes() == want.grad.tobytes()
 

@@ -6,7 +6,8 @@ import pytest
 from cotrain.backbone import Backbone, BackboneConfig, Block, PooledAttention, StageConfig
 from cotrain.errors import ConfigError, ShapeError
 from cotrain.rng import Rng
-from cotrain.tensor import Tensor
+from cotrain import tensor as T
+from cotrain.tensor import Tensor, no_grad
 
 
 def naive_pooled_attention(attn, x, grid):
@@ -104,6 +105,37 @@ class TestPooledAttention:
         want, want_grid = naive_pooled_attention(attn, x.astype(np.float64), grid)
         assert got_grid == want_grid
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "dim,heads,q_stride,batch,block_rows,blocks",
+        [
+            (8, 2, (1, 1, 1), 7, None, 1),  # the default block holds the whole batch
+            (8, 2, (1, 1, 1), 7, 3, 3),  # 3 + 3 + 1 rows
+            (8, 2, (1, 1, 1), 6, 2, 3),  # the rows divide the batch
+            (8, 2, (1, 1, 1), 5, 1, 5),  # 1-row blocks
+            (12, 3, (1, 2, 2), 5, 2, 3),  # pooled queries, 2 + 2 + 1 rows
+        ],
+    )
+    def test_without_a_tape_keeps_the_taped_bits(self, dim, heads, q_stride, batch, block_rows, blocks, monkeypatch):
+        """Under ``no_grad`` the attention runs in batch blocks; every output bit is the taped one's."""
+        grid = (2, 4, 4)
+        attn = PooledAttention(dim, heads, q_stride, (1, 1, 1), Rng(41, 0))
+        randomize(attn, Rng(41, 1))
+        x = Rng(41, 2).normal((batch, 32, dim)).astype(np.float32)
+        taped, taped_grid = attn(Tensor(x), grid)
+        assert taped.requires_grad
+        if block_rows is not None:
+            lq = 32 // (q_stride[0] * q_stride[1] * q_stride[2])
+            monkeypatch.setattr(T, "ATTENTION_BLOCK_SIZE", block_rows * heads * lq * 32)
+        rows = []
+        softmax = T.softmax
+        monkeypatch.setattr(T, "softmax", lambda a, axis=-1: rows.append(a.shape[0]) or softmax(a, axis))
+        with no_grad():
+            blocked, blocked_grid = attn(Tensor(x), grid)
+        assert len(rows) == blocks and sum(rows) == batch
+        assert blocked_grid == taped_grid
+        assert blocked.data.dtype == taped.data.dtype and blocked.data.shape == taped.data.shape
+        assert blocked.data.tobytes() == taped.data.tobytes()
 
     def test_rejects_token_grid_mismatch(self):
         attn = PooledAttention(8, 2, (1, 1, 1), (1, 1, 1), Rng(21, 0))

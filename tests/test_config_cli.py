@@ -100,6 +100,7 @@ REFUSED_SETTINGS = {
         "report.eval_batch must be >= 1, got 0",
     ),
     "ablate-steps": (["ablate", "--seeds", "1", "--set", "train.steps=2"], "warmup_steps must lie in [0, steps), got 2 of 2"),
+    "ablate-repeated-seed": (["ablate", "--seeds", "1,1"], "--seeds names seed 1 more than once"),
     "dump-classes": (
         ["dump-dataset", "--set", "datasets.classes=4,4,4"],
         "datasets.classes needs 1 or 2 comma-separated values, got 3",

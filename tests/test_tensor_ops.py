@@ -344,7 +344,7 @@ def _forward_and_grads(op, arrays, mixed=False):
     """
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(*leaves)
-    rule = out._backward_fn
+    rule = out._node.rule
     weight = np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape)
     (out * Tensor(weight.astype(out.dtype))).sum().backward()
     direct = [g for g in rule(weight) if g is not None] if mixed else []
@@ -392,7 +392,7 @@ def test_layer_norm_input_gradient_takes_the_dtype_of_its_expression(use_pool):
 
     def input_gradient():
         out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta))
-        return out._backward_fn(g)[0]
+        return out._node.rule(g)[0]
 
     split = input_gradient()
     with pytest.MonkeyPatch.context() as m:
