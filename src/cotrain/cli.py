@@ -148,7 +148,7 @@ def _load_checkpoint(state: TrainState, path) -> None:
         load_checkpoint(state, path)
     except OSError as err:
         raise ConfigError(f"{err.filename or path}: {err.strerror or err}") from None
-    except (ConfigError, FormatError, ShapeError, json.JSONDecodeError) as err:
+    except (ConfigError, FormatError, ShapeError, json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: {err}") from None
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -34,7 +34,7 @@ from .nn import Module
 from .optim import AdamW, lr_schedule
 from .rng import Rng
 from .tensor import Tensor, gather_rows, map_items, no_grad
-from .tensor_io import commit, load_arrays, save_arrays, staged
+from .tensor_io import Layout, commit, load_arrays, save_arrays, staged
 
 _STREAM_INIT = 1
 _STREAM_BATCH_BASE = 1 << 32
@@ -195,6 +195,13 @@ class EvalResult:
     count: int
 
 
+class _StateLayout(NamedTuple):
+    """A state's checkpoint layout, and each parameter with the array the layout writes for it."""
+
+    layout: Layout
+    params: list[tuple[Tensor, np.ndarray]]
+
+
 @dataclass
 class TrainState:
     model: JointModel
@@ -203,6 +210,8 @@ class TrainState:
     suite: SyntheticSuite
     step: int = 0
     config_hash: str = ""
+    # Built by the first save or load (see :func:`_checkpoint_layout`).
+    _layout: Optional[_StateLayout] = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def create(
@@ -304,22 +313,41 @@ def _manifest_path(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".json")
 
 
+def _checkpoint_layout(state: TrainState) -> Layout:
+    """The file a checkpoint of ``state`` is: its parameter arrays, then its moment views.
+
+    Built on the first call and kept, so later saves and loads neither walk
+    the module tree nor pack a header.  It is built anew when some ``p.data``
+    is no longer the array it was built from: a parameter rebound under the
+    optimizer's Rebind rule, or converted by ``to_dtype``.  Like the
+    optimizer, it assumes the model keeps the parameter tensors it was
+    created with.
+    """
+    cached = state._layout
+    if cached is None or any(p.data is not data for p, data in cached.params):
+        named = list(state.model.named_parameters())
+        arrays = {name: p.data for name, p in named}
+        arrays.update(state.opt.named_moments())
+        cached = state._layout = _StateLayout(Layout(arrays), [(p, p.data) for _, p in named])
+    return cached.layout
+
+
 def save_checkpoint(state: TrainState, path) -> None:
     """Write ``<path>`` (arrays) and ``<path>.json`` (manifest), replacing both as a whole.
 
-    The arrays are written straight from the parameter and moment arenas, and
-    each file goes to its staged name first.  :func:`tensor_io.commit` then
-    renames the arrays and then the manifest into place, so a checkpoint with
-    a manifest is complete.  If anything fails, the files already at the two
-    paths are left as they were and no staged file remains.
+    The arrays are written through the state's :func:`_checkpoint_layout`,
+    straight from the parameter and moment arenas, and each file goes to its
+    staged name first.  :func:`tensor_io.commit` then renames the arrays and
+    then the manifest into place, so a checkpoint with a manifest is
+    complete.  If anything fails, the files already at the two paths are left
+    as they were and no staged file remains.
     """
     path = Path(path)
     manifest_path = _manifest_path(path)
-    arrays = {name: p.data for name, p in state.model.named_parameters()}
-    arrays.update(state.opt.named_moments())
+    layout = _checkpoint_layout(state)
     manifest = {"step": state.step, "config_hash": state.config_hash}
     try:
-        save_arrays(staged(path), arrays)
+        save_arrays(staged(path), layout)
         staged(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n")
         commit([path, manifest_path])
     except BaseException:
@@ -333,17 +361,24 @@ def load_checkpoint(state: TrainState, path) -> TrainState:
 
     The manifest and every parameter and moment entry are checked before the
     first copy, so a refused checkpoint leaves the state as it was.  A
-    manifest without a non-negative integer ``step`` raises ConfigError.
+    manifest without a non-negative integer ``step`` raises ConfigError.  A
+    file that is the state's :func:`_checkpoint_layout` byte for byte outside
+    its payloads is copied entry by entry into the layout's arrays; any other
+    file is parsed, and its entries are matched by name and checked by shape
+    (extra entries are ignored).
     """
     path = Path(path)
-    arrays = load_arrays(path)
-    manifest = json.loads(_manifest_path(path).read_text())
+    layout = _checkpoint_layout(state)
+    arrays = load_arrays(path, layout)
+    manifest = json.loads(_manifest_path(path).read_text(encoding="utf-8"))
     step = manifest.get("step") if isinstance(manifest, dict) else None
     if type(step) is not int or step < 0:
         raise ConfigError(f"manifest has no non-negative integer 'step', got {step!r}")
-    copies = state.model.state_targets(arrays) + state.opt.state_targets(arrays)
-    for target, source in copies:
-        target[...] = source
+    if isinstance(arrays, list):
+        layout.fill(arrays)
+    else:
+        for target, source in state.model.state_targets(arrays) + state.opt.state_targets(arrays):
+            target[...] = source
     state.step = step
     state.opt.t = step
     return state

@@ -444,6 +444,8 @@ class TestCliBadCheckpoint:
         (root / "no_step.mttn").write_bytes(blob)
         no_step = {k: v for k, v in json.loads(manifest).items() if k != "step"}
         (root / "no_step.mttn.json").write_text(json.dumps(no_step))
+        (root / "not_utf8.mttn").write_bytes(blob)
+        (root / "not_utf8.mttn.json").write_bytes(b'\xff\xfe{"step": 6}')
         return root
 
     @pytest.mark.parametrize("command", ["eval", "inspect-projections"])
@@ -457,6 +459,7 @@ class TestCliBadCheckpoint:
             ("bad_moment.mttn", [], "optimizer entry 'opt.m."),
             ("bad_manifest.mttn", [], "Expecting"),
             ("no_step.mttn", [], "manifest has no non-negative integer 'step', got None"),
+            ("not_utf8.mttn", [], "can't decode byte 0xff in position 0"),
         ],
     )
     def test_exits_one_with_a_message(self, run_dir, command, case, overrides, needle, capsys):

@@ -19,7 +19,7 @@ from cotrain import tensor_io
 from cotrain.config import RunConfig
 from cotrain.errors import ConfigError, FormatError
 from cotrain.rng import Rng
-from cotrain.tensor_io import MAGIC, load_arrays, save_arrays
+from cotrain.tensor_io import MAGIC, Layout, load_arrays, save_arrays
 from cotrain.trainer import save_checkpoint, train_steps
 
 _TAG_BY_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -154,19 +154,71 @@ def _outcome(load, path):
         return str(err)
 
 
-@pytest.mark.parametrize("damage", ["truncate", "overwrite"])
-def test_damaged_files_fail_like_the_legacy_reader(sample, tmp_path, damage):
-    """Cut the file at every length, or set any one byte to 0xff: the same message and offset, or the same arrays."""
-    path, _ = sample
+def _load_through(layout):
+    """``load_arrays`` with ``layout``, its matched payloads read back as arrays of the layout's shapes."""
+
+    def load(path):
+        got = load_arrays(path, layout)
+        if isinstance(got, dict):
+            return got
+        return {
+            name: np.frombuffer(payload, arr.dtype).reshape(arr.shape)
+            for name, arr, payload in zip(layout.names, layout.arrays, got)
+        }
+
+    return load
+
+
+def _assert_damage_like_the_legacy_reader(load, path, tmp_path, damage):
     blob = path.read_bytes()
     damaged = tmp_path / "damaged.mttn"
     for i in range(len(blob)):
         damaged.write_bytes(blob[:i] if damage == "truncate" else blob[:i] + b"\xff" + blob[i + 1 :])
-        got, want = _outcome(load_arrays, damaged), _outcome(_legacy_load, damaged)
+        got, want = _outcome(load, damaged), _outcome(_legacy_load, damaged)
         if isinstance(want, str):
             assert got == want, i
         else:
             _assert_same_arrays(got, want)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "overwrite"])
+def test_damaged_files_fail_like_the_legacy_reader(sample, tmp_path, damage):
+    """Cut the file at every length, or set any one byte to 0xff: the same message and offset, or the same arrays."""
+    path, _ = sample
+    _assert_damage_like_the_legacy_reader(load_arrays, path, tmp_path, damage)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "overwrite"])
+def test_damaged_files_through_a_layout_fail_like_the_legacy_reader(sample, tmp_path, damage):
+    """The same damage, loaded with the file's layout: only payload bytes keep a match; every other file is parsed."""
+    path, arrays = sample
+    _assert_damage_like_the_legacy_reader(_load_through(Layout(arrays)), path, tmp_path, damage)
+
+
+def test_a_layout_writes_the_general_writers_bytes_with_the_arrays_as_they_are_now(sample, tmp_path):
+    path, arrays = sample
+    layout = Layout(arrays)
+    for arr in arrays.values():
+        arr *= 3  # in place, the non-contiguous array too
+    via_layout, general = tmp_path / "layout.mttn", tmp_path / "general.mttn"
+    save_arrays(via_layout, layout)
+    save_arrays(general, arrays)
+    assert via_layout.read_bytes() == general.read_bytes()
+    assert via_layout.stat().st_size == layout.size
+
+
+def test_a_matching_file_fills_the_layouts_arrays(sample, tmp_path):
+    path, arrays = sample
+    arrays = {**arrays, "empty": np.zeros((0, 3), np.float32)}
+    save_arrays(path, arrays)
+    targets = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    targets["transposed"] = np.zeros((3, 5), np.float32).T  # not C-contiguous
+    layout = Layout(targets)
+    payloads = load_arrays(path, layout)
+    assert isinstance(payloads, list) and len(payloads) == len(arrays)
+    layout.fill(payloads)
+    _assert_same_arrays(targets, arrays)
+    assert isinstance(load_arrays(path, Layout({"weights": arrays["weights"]})), dict)
 
 
 def test_loaded_arrays_are_writable_native_and_independent_of_the_file(sample):

@@ -3,6 +3,7 @@ checkpoint resume, and chance-level evaluation before training."""
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -12,8 +13,10 @@ from cotrain import trainer
 from cotrain.backbone import BackboneConfig, StageConfig
 from cotrain.config import RunConfig
 from cotrain.data import generate_synthetic_suite
-from cotrain.errors import ConfigError, NumericError, ShapeError
+from cotrain.errors import ConfigError, FormatError, NumericError, ShapeError
+from cotrain.nn import Module
 from cotrain.optim import AdamW
+from cotrain.rng import Rng
 from cotrain.tensor import Tensor, no_grad
 from cotrain.trainer import (
     MODES,
@@ -482,3 +485,227 @@ class TestCheckpointWrite:
         with pytest.raises(OSError, match="no space left"):
             save_checkpoint(state, tmp_path / "ckpt.mttn")
         assert list(tmp_path.iterdir()) == []
+
+
+def _entry_bytes(blob: bytes) -> list[tuple[str, bytes]]:
+    """Each entry of a well-formed checkpoint file: its name and its bytes, header included."""
+    out, pos = [], 12
+    for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+        start = pos
+        name_len = struct.unpack_from("<I", blob, pos)[0]
+        name = blob[pos + 4 : pos + 4 + name_len].decode("utf-8")
+        pos += 4 + name_len
+        tag, rank = struct.unpack_from("<BI", blob, pos)
+        dims = struct.unpack_from(f"<{rank}Q", blob, pos + 5)
+        pos += 5 + 8 * rank + int(np.prod(dims)) * (4, 8)[tag]
+        out.append((name, blob[start:pos]))
+    return out
+
+
+def _file(blob: bytes, entries: list[tuple[str, bytes]]) -> bytes:
+    return blob[:8] + struct.pack("<I", len(entries)) + b"".join(raw for _, raw in entries)
+
+
+def _edit(name: str, edit):
+    """A tamper that rewrites the one entry called ``name`` with ``edit(raw entry bytes)``."""
+    return lambda blob: _file(blob, [(n, edit(raw) if n == name else raw) for n, raw in _entry_bytes(blob)])
+
+
+def _set_byte(at: int, value: int):
+    return lambda raw: raw[:at] + bytes([value]) + raw[at + 1 :]
+
+
+def _name_end(raw: bytes) -> int:
+    return 4 + struct.unpack_from("<I", raw)[0]
+
+
+def _flip_first_name_byte(raw: bytes) -> bytes:
+    return _set_byte(4, raw[4] ^ 0x20)(raw)
+
+
+def _dtype_tag(tag: int):
+    return lambda raw: _set_byte(_name_end(raw), tag)(raw)
+
+
+def _swap_two_dims(raw: bytes) -> bytes:
+    dims = _name_end(raw) + 5
+    return raw[:dims] + raw[dims + 8 : dims + 16] + raw[dims : dims + 8] + raw[dims + 16 :]
+
+
+def _renamed(new: str):
+    def rename(raw: bytes) -> bytes:
+        encoded = new.encode("utf-8")
+        return struct.pack("<I", len(encoded)) + encoded + raw[_name_end(raw) :]
+
+    return rename
+
+
+def _count(delta: int):
+    return lambda blob: blob[:8] + struct.pack("<I", struct.unpack_from("<I", blob, 8)[0] + delta) + blob[12:]
+
+
+def _dropped(name: str):
+    return lambda blob: _file(blob, [(n, raw) for n, raw in _entry_bytes(blob) if n != name])
+
+
+def _swapped(blob: bytes) -> bytes:
+    entries = _entry_bytes(blob)
+    return _file(blob, [entries[1], entries[0], *entries[2:]])
+
+
+def _appended(blob: bytes) -> bytes:
+    extra = b"".join([struct.pack("<I", 5), b"extra", struct.pack("<BIQ", 0, 1, 2), np.ones(2, np.float32).tobytes()])
+    return _file(blob, [*_entry_bytes(blob), ("extra", extra)])
+
+
+_FC1 = "backbone.stage0.block0.mlp.fc1.weight"  # (8, 16)
+_LOADS = "loads"
+# Each tamper and what it gives, recorded by running this test at the
+# commit before checkpoint layouts: the exception's type and message, or a
+# load that restores the saved parameters, moments and step.
+_TAMPERS = {
+    "untouched": (lambda blob: blob, _LOADS),
+    "name_byte_flipped": (
+        _edit("heads.0.weight", _flip_first_name_byte),
+        (ShapeError, "state is missing parameters: ['heads.0.weight']"),
+    ),
+    "dtype_tag_float64_on_the_last_entry": (
+        _edit("opt.v.sigma.log_sigma", _dtype_tag(1)),
+        (FormatError, "truncated while reading data for 'opt.v.sigma.log_sigma' (byte offset 22378)"),
+    ),
+    "dtype_tag_unknown": (
+        _edit("backbone.patch_kernel", _dtype_tag(7)),
+        (FormatError, "unknown dtype tag 7 (byte offset 37)"),
+    ),
+    "parameter_dims_swapped": (
+        _edit(_FC1, _swap_two_dims),
+        (ShapeError, f"parameter '{_FC1}' has shape (8, 16), state has (16, 8)"),
+    ),
+    "moment_dims_swapped": (
+        _edit("opt.v." + _FC1, _swap_two_dims),
+        (ShapeError, f"optimizer entry 'opt.v.{_FC1}' has shape (8, 16), state has (16, 8)"),
+    ),
+    "entry_count_plus_one": (
+        _count(1),
+        (FormatError, "truncated while reading name length (byte offset 22386)"),
+    ),
+    "entry_count_minus_one": (
+        _count(-1),
+        (FormatError, "trailing bytes after final entry (byte offset 22340)"),
+    ),
+    "one_byte_cut": (
+        lambda blob: blob[:-1],
+        (FormatError, "truncated while reading data for 'opt.v.sigma.log_sigma' (byte offset 22378)"),
+    ),
+    "one_byte_appended": (
+        lambda blob: blob + b"\0",
+        (FormatError, "trailing bytes after final entry (byte offset 22386)"),
+    ),
+    "two_entries_swapped": (_swapped, _LOADS),
+    "parameter_renamed": (
+        _edit("projections.0to1", _renamed("projections.0to1x")),
+        (ShapeError, "state is missing parameters: ['projections.0to1']"),
+    ),
+    "moment_renamed": (
+        _edit("opt.m.sigma.log_sigma", _renamed("opt.m.sigma.log_sigmb")),
+        (ShapeError, "state is missing 1 optimizer moment arrays, first 'opt.m.sigma.log_sigma'"),
+    ),
+    "parameter_dropped": (
+        _dropped("sigma.log_sigma"),
+        (ShapeError, "state is missing parameters: ['sigma.log_sigma']"),
+    ),
+    "moment_dropped": (
+        _dropped("opt.v.heads.1.bias"),
+        (ShapeError, "state is missing 1 optimizer moment arrays, first 'opt.v.heads.1.bias'"),
+    ),
+    "entry_appended": (_appended, _LOADS),
+}
+
+
+class TestCheckpointLayout:
+    """Saves and loads through a state's built checkpoint layout give what the parser gives."""
+
+    @pytest.mark.parametrize("case", list(_TAMPERS))
+    def test_tampered_file_gives_the_parsers_outcome(self, tmp_path, case):
+        tamper, want = _TAMPERS[case]
+        source = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        train_steps(source, 2)
+        path = tmp_path / "ckpt.mttn"
+        save_checkpoint(source, path)
+        target = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(seed=5))
+        train_steps(target, 3)
+        save_checkpoint(target, tmp_path / "own.mttn")  # builds the target's layout
+        path.write_bytes(tamper(path.read_bytes()))
+        before = _snapshot(target)
+        try:
+            load_checkpoint(target, path)
+        except Exception as err:
+            got = (type(err), str(err))
+            _assert_unchanged(target, before)
+        else:
+            got = _LOADS
+            _assert_unchanged(target, _snapshot(source))
+        assert got == want
+
+    def test_second_save_and_matching_load_do_not_walk_the_module_tree(self, tmp_path, monkeypatch):
+        walks = []
+        walk = Module.named_parameters
+
+        def counted(self, prefix=""):
+            walks.append(prefix)
+            return walk(self, prefix)
+
+        monkeypatch.setattr(Module, "named_parameters", counted)
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        walks.clear()
+        save_checkpoint(state, tmp_path / "a.mttn")
+        assert walks  # the first save builds the layout
+        train_steps(state, 1)
+        fresh = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(seed=5))
+        load_checkpoint(fresh, tmp_path / "a.mttn")
+        walks.clear()
+        save_checkpoint(state, tmp_path / "b.mttn")
+        load_checkpoint(fresh, tmp_path / "b.mttn")
+        assert walks == []
+        _assert_unchanged(fresh, _snapshot(state))
+
+    def test_a_rebound_parameter_is_saved_and_loaded_with_its_new_values(self, tmp_path):
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        train_steps(state, 1)
+        save_checkpoint(state, tmp_path / "before.mttn")
+        rng = Rng(3, 0)
+        for name, p in state.model.named_parameters():  # as verify._widen rebinds them
+            if p.data.ndim >= 2:
+                p.data = rng.normal(p.shape, std=0.5).astype(p.data.dtype)
+        path = tmp_path / "after.mttn"
+        save_checkpoint(state, path)
+        want = {**{n: p.data for n, p in state.model.named_parameters()}, **dict(state.opt.named_moments())}
+        assert path.read_bytes() == _arrays_file(tmp_path / "want.mttn", want)
+        target = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(seed=5))
+        save_checkpoint(target, tmp_path / "own.mttn")
+        load_checkpoint(target, path)
+        _assert_unchanged(target, _snapshot(state))
+
+    def test_a_state_converted_to_float64_is_saved_and_loaded_in_float64(self, tmp_path):
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        train_steps(state, 1)
+        save_checkpoint(state, tmp_path / "before.mttn")
+        state.model.to_dtype(np.float64)
+        for _, p in state.model.named_parameters():
+            p.data += 1e-12  # bits that a float32 copy would lose
+        path = tmp_path / "wide.mttn"
+        save_checkpoint(state, path)
+        want = {**{n: p.data for n, p in state.model.named_parameters()}, **dict(state.opt.named_moments())}
+        assert path.read_bytes() == _arrays_file(tmp_path / "want.mttn", want)
+        target = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(seed=5))
+        save_checkpoint(target, tmp_path / "own.mttn")
+        target.model.to_dtype(np.float64)
+        load_checkpoint(target, path)
+        _assert_unchanged(target, _snapshot(state))
+        assert all(p.data.dtype == np.float64 for _, p in target.model.named_parameters())
+
+
+def _arrays_file(path, arrays) -> bytes:
+    """The bytes ``save_arrays`` writes for ``arrays`` through the general writer."""
+    save_arrays(path, arrays)
+    return path.read_bytes()
