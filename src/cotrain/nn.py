@@ -51,30 +51,34 @@ class Module:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def state_targets(self, arrays: Mapping[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(parameter array, entry)`` pairs for a load, checked but not copied.
-
-        A missing or off-shape entry raises ShapeError; extra entries are
-        ignored.  Copy each entry into its parameter array rather than
-        rebinding ``p.data``: under an optimizer the arrays are arena views.
-        """
-        params = dict(self.named_parameters())
-        missing = sorted(set(params) - set(arrays))
-        if missing:
-            raise ShapeError(f"state is missing parameters: {missing}")
-        for name, param in params.items():
-            arr = arrays[name]
-            if tuple(arr.shape) != param.shape:
-                raise ShapeError(
-                    f"parameter '{name}' has shape {param.shape}, state has {tuple(arr.shape)}"
-                )
-        return [(param.data, arrays[name]) for name, param in params.items()]
-
     def to_dtype(self, dtype) -> "Module":
         """Convert every parameter in place (used for float64 gradient checks)."""
         for _, p in self.named_parameters():
             p.data = p.data.astype(dtype)
         return self
+
+
+def param_targets(
+    params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(parameter array, entry)`` pairs for a load of a module's ``params``, checked but not copied.
+
+    ``params`` is the module's ``named_parameters`` as a mapping, such as the
+    optimizer's, so the module tree need not be walked.  A missing or
+    off-shape entry raises ShapeError; extra entries are ignored.  Copy each
+    entry into its parameter array rather than rebinding ``p.data``: under
+    an optimizer the arrays are arena views.
+    """
+    missing = sorted(set(params) - set(arrays))
+    if missing:
+        raise ShapeError(f"state is missing parameters: {missing}")
+    for name, param in params.items():
+        arr = arrays[name]
+        if tuple(arr.shape) != param.shape:
+            raise ShapeError(
+                f"parameter '{name}' has shape {param.shape}, state has {tuple(arr.shape)}"
+            )
+    return [(param.data, arrays[name]) for name, param in params.items()]
 
 
 class Linear(Module):

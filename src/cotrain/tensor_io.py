@@ -15,17 +15,20 @@ offset of the failure, and no partial result is returned.
 :func:`load_arrays` reads the file with one call and parses it where it lies,
 so neither makes an intermediate copy of the payload.
 
-A :class:`Layout` is the file of one set of named arrays, built once: the
-entry order, the arrays, every header's bytes (packed by the same per-entry
-code as any save, so the two cannot differ), each payload's offset and the
-exact file size.  Saving a layout packs nothing.  ``load_arrays(path,
-layout)`` compares the file's size and every header byte, the file header
-included, with the layout's in one numpy gather and compare.  On a match it
-returns each payload's bytes at its known offset, for :meth:`Layout.fill`;
-the parser would have given the same names, dtypes and shapes in the same
-order, so nothing is left to check.  On any difference, and always on a
-big-endian host, the file goes to the parser, with the parser's errors, so a
-valid file in another order or with other entries still loads.
+A :class:`Layout` is the file of one set of named arrays: the entry order
+and the arrays, and, packed on first use and kept, every header's bytes
+(packed by the same per-entry code as any save, so the two cannot differ),
+each payload's offset and the exact file size.  Saving a layout again
+packs nothing.  ``load_arrays(path, layout)`` first compares the file's
+entry count with the layout's, so a file with other entries is parsed
+without packing anything; otherwise it compares the file's size and every
+header byte, the file header included, with the layout's, as one joined
+string of header bytes.  On a match it returns each payload's bytes at its
+known offset, for :meth:`Layout.fill`; the parser would have given the same
+names, dtypes and shapes in the same order, so nothing is left to check.
+On any difference, and always on a big-endian host, the file goes to the
+parser, with the parser's errors, so a valid file in another order or with
+other entries still loads.
 
 :func:`commit` renames :func:`staged` files onto their targets, in order, so
 that a set of files (a checkpoint's arrays, then its manifest) is replaced as
@@ -44,7 +47,7 @@ import struct
 import sys
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,70 +69,72 @@ def _dims(rank: int) -> struct.Struct:
     return struct.Struct(f"<{rank}Q")
 
 
-class Layout:
-    """The file :func:`save_arrays` writes for one set of named arrays, built once.
+class _Packed(NamedTuple):
+    headers: list[bytes]  # the file header, then each entry's header
+    ends: list[int]  # where each header ends: the file header's length, then each payload's offset
+    size: int
 
-    It holds the entry names in order, the arrays themselves, every header's
-    bytes (the file header, and each entry's as :func:`_entry` packs it for
-    any save), each payload's offset and the exact file size.  Saving a
-    layout packs nothing; only a non-contiguous array is copied first.  Each
-    save writes the arrays' contents as they are then, so a layout stays
-    valid while its arrays keep their dtypes and shapes.
+
+class Layout:
+    """The file :func:`save_arrays` writes for one set of named arrays.
+
+    It holds the entry names in order and the arrays themselves; every
+    header's bytes (the file header, and each entry's as :func:`_entry`
+    packs it for any save), each payload's offset and the exact file size
+    are packed on first use and kept.  Each save writes the arrays'
+    contents as they are then, so a layout stays valid while its arrays
+    keep their dtypes and shapes.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         self.names = list(arrays)
-        self.arrays = []
-        self.headers = [_FILE_HEADER.pack(MAGIC, VERSION, len(arrays))]
-        self.offsets = []
-        self.size = len(self.headers[0])
-        for name, arr in arrays.items():
-            header, arr = _entry(name, arr)
-            self.headers.append(header)
-            self.arrays.append(arr)
-            self.size += len(header)
-            self.offsets.append(self.size)
-            self.size += arr.nbytes
-        self._direct = not _BIG_ENDIAN and all(arr.flags.c_contiguous for arr in self.arrays)
-        if self._direct:
-            self._chunks = self._interleave(self.arrays)
+        self.arrays = [np.asarray(arr) for arr in arrays.values()]
 
-    def _interleave(self, payloads) -> list:
-        chunks = [self.headers[0]]
-        for header, payload in zip(self.headers[1:], payloads):
-            chunks += (header, payload)
-        return chunks
+    @cached_property
+    def _packed(self) -> _Packed:
+        headers = [_FILE_HEADER.pack(MAGIC, VERSION, len(self.arrays))]
+        ends = [len(headers[0])]
+        size = ends[0]
+        for name, arr in zip(self.names, self.arrays):
+            header = _entry(name, arr)
+            headers.append(header)
+            size += len(header)
+            ends.append(size)
+            size += arr.nbytes
+        return _Packed(headers, ends, size)
+
+    @property
+    def size(self) -> int:
+        """The exact size of the file."""
+        return self._packed.size
 
     def chunks(self) -> list:
         """The buffers of the file, in order: the file header, then each entry's header and payload."""
-        if self._direct:
-            return self._chunks
-        return self._interleave([_payload(arr) for arr in self.arrays])
-
-    @cached_property
-    def _header_bytes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every header byte's position in the file, and its value."""
-        lengths = np.array([len(h) for h in self.headers], dtype=np.intp)
-        ends = np.array([lengths[0], *self.offsets], dtype=np.intp)  # a payload starts where its header ends
-        shifts = ends - np.cumsum(lengths)  # a header's place in the file minus its place in the joined headers
-        positions = np.arange(lengths.sum(), dtype=np.intp) + np.repeat(shifts, lengths)
-        return positions, np.frombuffer(b"".join(self.headers), dtype=np.uint8)
+        headers = self._packed.headers
+        chunks = [headers[0]]
+        for header, arr in zip(headers[1:], self.arrays):
+            chunks += (header, _payload(arr))
+        return chunks
 
     def matches(self, blob) -> bool:
         """Whether ``blob`` is this layout's file: the same size and every header byte equal.
 
-        Always False on a big-endian host, whose arrays are not stored as
-        the file's payloads are.
+        A file with another entry count is refused before anything is
+        packed.  Always False on a big-endian host, whose arrays are not
+        stored as the file's payloads are.
         """
-        if _BIG_ENDIAN or len(blob) != self.size:
+        if _BIG_ENDIAN or len(blob) < _FILE_HEADER.size or _U32.unpack_from(blob, 8)[0] != len(self.arrays):
             return False
-        positions, values = self._header_bytes
-        return bool(np.array_equal(np.frombuffer(blob, dtype=np.uint8)[positions], values))
+        headers, ends, size = self._packed
+        if len(blob) != size:
+            return False
+        # Each header is the run of bytes that ends where its payload starts.
+        return b"".join([blob[end - len(header) : end] for header, end in zip(headers, ends)]) == b"".join(headers)
 
     def payloads(self, blob) -> list[memoryview]:
         """Each entry's payload bytes in a matching ``blob``, as views of it, in this layout's order."""
         blob = memoryview(blob)
-        return [blob[offset : offset + arr.nbytes] for arr, offset in zip(self.arrays, self.offsets)]
+        return [blob[offset : offset + arr.nbytes] for arr, offset in zip(self.arrays, self._packed.ends[1:])]
 
     def fill(self, payloads: Sequence[memoryview]) -> None:
         """Copy the :meth:`payloads` of a matching file into this layout's arrays."""
@@ -140,14 +145,13 @@ class Layout:
                 arr[...] = np.frombuffer(payload, arr.dtype).reshape(arr.shape)
 
 
-def _entry(name: str, arr) -> tuple[bytes, np.ndarray]:
-    """One entry's header bytes, and the array its payload is written from."""
-    arr = np.asarray(arr)
+def _entry(name: str, arr: np.ndarray) -> bytes:
+    """One entry's header bytes."""
     if arr.dtype not in _TAG_BY_DTYPE:
         raise ConfigError(f"cannot serialize dtype {arr.dtype} for entry '{name}'")
     encoded = name.encode("utf-8")
     tag_rank = _TAG_RANK.pack(_TAG_BY_DTYPE[arr.dtype], arr.ndim)
-    return _U32.pack(len(encoded)) + encoded + tag_rank + _dims(arr.ndim).pack(*arr.shape), arr
+    return _U32.pack(len(encoded)) + encoded + tag_rank + _dims(arr.ndim).pack(*arr.shape)
 
 
 def _payload(arr: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from . import losses as L
 from .backbone import Backbone, BackboneConfig
 from .data import MixedBatch, SyntheticSuite, sample_mixed_batch
 from .errors import ConfigError
-from .nn import Module
+from .nn import Module, param_targets
 from .optim import AdamW, lr_schedule
 from .rng import Rng
 from .tensor import Tensor, gather_rows, map_items, no_grad
@@ -316,8 +316,10 @@ def _manifest_path(path: Path) -> Path:
 def _checkpoint_layout(state: TrainState) -> Layout:
     """The file a checkpoint of ``state`` is: its parameter arrays, then its moment views.
 
-    Built on the first call and kept, so later saves and loads neither walk
-    the module tree nor pack a header.  It is built anew when some ``p.data``
+    The parameters are the optimizer's, which are the model's
+    ``named_parameters`` in order (see :meth:`TrainState.create`), so no
+    module tree is walked.  Built on the first call and kept, so later saves
+    and loads pack each header once.  It is built anew when some ``p.data``
     is no longer the array it was built from: a parameter rebound under the
     optimizer's Rebind rule, or converted by ``to_dtype``.  Like the
     optimizer, it assumes the model keeps the parameter tensors it was
@@ -325,10 +327,10 @@ def _checkpoint_layout(state: TrainState) -> Layout:
     """
     cached = state._layout
     if cached is None or any(p.data is not data for p, data in cached.params):
-        named = list(state.model.named_parameters())
-        arrays = {name: p.data for name, p in named}
+        params = state.opt.params
+        arrays = {name: p.data for name, p in params.items()}
         arrays.update(state.opt.named_moments())
-        cached = state._layout = _StateLayout(Layout(arrays), [(p, p.data) for _, p in named])
+        cached = state._layout = _StateLayout(Layout(arrays), [(p, p.data) for p in params.values()])
     return cached.layout
 
 
@@ -365,7 +367,8 @@ def load_checkpoint(state: TrainState, path) -> TrainState:
     file that is the state's :func:`_checkpoint_layout` byte for byte outside
     its payloads is copied entry by entry into the layout's arrays; any other
     file is parsed, and its entries are matched by name and checked by shape
-    (extra entries are ignored).
+    (extra entries are ignored) against the optimizer's parameters, which
+    are the model's (:func:`nn.param_targets`).
     """
     path = Path(path)
     layout = _checkpoint_layout(state)
@@ -377,7 +380,8 @@ def load_checkpoint(state: TrainState, path) -> TrainState:
     if isinstance(arrays, list):
         layout.fill(arrays)
     else:
-        for target, source in state.model.state_targets(arrays) + state.opt.state_targets(arrays):
+        targets = param_targets(state.opt.params, arrays) + state.opt.state_targets(arrays)
+        for target, source in targets:
             target[...] = source
     state.step = step
     state.opt.t = step

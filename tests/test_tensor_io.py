@@ -221,6 +221,13 @@ def test_a_matching_file_fills_the_layouts_arrays(sample, tmp_path):
     assert isinstance(load_arrays(path, Layout({"weights": arrays["weights"]})), dict)
 
 
+def test_a_file_with_another_entry_count_is_parsed_without_packing_the_layout(sample, tmp_path):
+    path, arrays = sample
+    layout = Layout({**arrays, "extra": np.zeros(2, np.float32)})
+    assert isinstance(load_arrays(path, layout), dict)
+    assert "_packed" not in vars(layout)
+
+
 def test_loaded_arrays_are_writable_native_and_independent_of_the_file(sample):
     path, arrays = sample
     loaded = load_arrays(path)

@@ -625,8 +625,9 @@ _TAMPERS = {
 class TestCheckpointLayout:
     """Saves and loads through a state's built checkpoint layout give what the parser gives."""
 
+    @pytest.mark.parametrize("built", [True, False], ids=["layout_built", "first_load"])
     @pytest.mark.parametrize("case", list(_TAMPERS))
-    def test_tampered_file_gives_the_parsers_outcome(self, tmp_path, case):
+    def test_tampered_file_gives_the_parsers_outcome(self, tmp_path, case, built):
         tamper, want = _TAMPERS[case]
         source = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
         train_steps(source, 2)
@@ -634,7 +635,8 @@ class TestCheckpointLayout:
         save_checkpoint(source, path)
         target = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(seed=5))
         train_steps(target, 3)
-        save_checkpoint(target, tmp_path / "own.mttn")  # builds the target's layout
+        if built:
+            save_checkpoint(target, tmp_path / "own.mttn")  # builds the target's layout
         path.write_bytes(tamper(path.read_bytes()))
         before = _snapshot(target)
         try:
@@ -647,7 +649,7 @@ class TestCheckpointLayout:
             _assert_unchanged(target, _snapshot(source))
         assert got == want
 
-    def test_second_save_and_matching_load_do_not_walk_the_module_tree(self, tmp_path, monkeypatch):
+    def test_saves_and_loads_do_not_walk_the_module_tree(self, tmp_path, monkeypatch):
         walks = []
         walk = Module.named_parameters
 
@@ -657,15 +659,21 @@ class TestCheckpointLayout:
 
         monkeypatch.setattr(Module, "named_parameters", counted)
         state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        fresh = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(seed=5))
         walks.clear()
         save_checkpoint(state, tmp_path / "a.mttn")
-        assert walks  # the first save builds the layout
+        load_checkpoint(fresh, tmp_path / "a.mttn")  # the first load into a fresh state
         train_steps(state, 1)
-        fresh = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(seed=5))
-        load_checkpoint(fresh, tmp_path / "a.mttn")
-        walks.clear()
         save_checkpoint(state, tmp_path / "b.mttn")
         load_checkpoint(fresh, tmp_path / "b.mttn")
+        assert walks == []
+        _assert_unchanged(fresh, _snapshot(state))
+        train_steps(state, 1)
+        path = tmp_path / "c.mttn"
+        save_checkpoint(state, path)
+        path.write_bytes(_appended(path.read_bytes()))
+        walks.clear()
+        load_checkpoint(fresh, path)  # through the parser
         assert walks == []
         _assert_unchanged(fresh, _snapshot(state))
 
