@@ -72,15 +72,22 @@ class BackboneConfig:
                     f"stage {i}: dim {stage.dim} not divisible by {stage.heads} heads"
                 )
             stride = stage.q_stride if i > 0 else (1, 1, 1)
+            # Keys and values are pooled on the first block's input grid and,
+            # in later blocks, on the grid after the query stride.
+            kv_grids = [tuple(grid)]
             for ax in range(3):
                 if stride[ax] < 1 or grid[ax] % stride[ax]:
                     raise ConfigError(
                         f"stage {i}: query stride {stride} does not divide token grid {tuple(grid)}"
                     )
                 grid[ax] //= stride[ax]
-            for s in stage.kv_stride:
-                if s < 1:
-                    raise ConfigError(f"stage {i}: key/value stride must be >= 1")
+            if stage.blocks > 1:
+                kv_grids.append(tuple(grid))
+            for kv_grid in kv_grids:
+                if any(s < 1 or n % s for s, n in zip(stage.kv_stride, kv_grid)):
+                    raise ConfigError(
+                        f"stage {i}: key/value stride {stage.kv_stride} does not divide token grid {kv_grid}"
+                    )
 
     def token_grid(self, upto_stage: int) -> Grid:
         """Token grid after the patch embed and the first ``upto_stage`` stage transitions."""
@@ -241,7 +248,7 @@ class Backbone(Module):
             raise ShapeError(
                 f"expected clips of shape (B, {', '.join(map(str, cfg.input_shape))}), got {clips.shape}"
             )
-        tokens = T.conv3d(clips, self.patch_kernel, stride=cfg.patch)
+        tokens = T.conv3d(clips, self.patch_kernel)
         b, t, h, w, d = tokens.shape
         x = tokens.reshape(b, t * h * w, d) + self.patch_bias
         x = x + self.pos_embed

@@ -7,12 +7,11 @@ standard deviation 0.02, biases start at zero.
 """
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 from .rng import Rng
 from .tensor import Tensor
 
@@ -58,29 +57,6 @@ class Module:
         return self
 
 
-def param_targets(
-    params: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(parameter array, entry)`` pairs for a load of a module's ``params``, checked but not copied.
-
-    ``params`` is the module's ``named_parameters`` as a mapping, such as the
-    optimizer's, so the module tree need not be walked.  A missing or
-    off-shape entry raises ShapeError; extra entries are ignored.  Copy each
-    entry into its parameter array rather than rebinding ``p.data``: under
-    an optimizer the arrays are arena views.
-    """
-    missing = sorted(set(params) - set(arrays))
-    if missing:
-        raise ShapeError(f"state is missing parameters: {missing}")
-    for name, param in params.items():
-        arr = arrays[name]
-        if tuple(arr.shape) != param.shape:
-            raise ShapeError(
-                f"parameter '{name}' has shape {param.shape}, state has {tuple(arr.shape)}"
-            )
-    return [(param.data, arrays[name]) for name, param in params.items()]
-
-
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: Rng, bias: bool = True):
         self.weight = trunc_normal_param(rng, (d_in, d_out))
@@ -117,10 +93,12 @@ class Mlp(Module):
 class PoolConv(Module):
     """Strided 3-d convolution used as a pooling operator.
 
-    Kernel extent equals the stride, so output extents divide exactly and a
-    unit stride is a pointwise (1,1,1) map.  The kernel starts as the identity
-    over channels averaged across the window, i.e. average pooling; at unit
-    stride that is the exact identity.
+    The kernel's extent is the stride (:func:`cotrain.tensor.conv3d`), so a
+    unit stride is a pointwise (1,1,1) map.  Output extents divide exactly:
+    ``conv3d`` refuses a grid the stride does not divide, and
+    :class:`cotrain.backbone.BackboneConfig` refuses such strides up front.
+    The kernel starts as the identity over channels averaged across the
+    window, i.e. average pooling; at unit stride that is the exact identity.
     """
 
     def __init__(self, channels: int, stride: tuple[int, int, int]):
@@ -131,4 +109,4 @@ class PoolConv(Module):
         self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv3d(x, self.kernel, stride=self.stride)
+        return T.conv3d(x, self.kernel)

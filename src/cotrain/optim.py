@@ -232,25 +232,3 @@ class AdamW:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {key: view.copy() for key, view in self.named_moments()}
-
-    def state_targets(self, arrays: Mapping[str, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(moment view, entry)`` pairs for a load, checked but not copied.
-
-        A missing or off-shape entry raises ShapeError.
-        """
-        targets = dict(self.named_moments())
-        missing = [key for key in targets if key not in arrays]
-        if missing:
-            raise ShapeError(f"state is missing {len(missing)} optimizer moment arrays, first '{missing[0]}'")
-        for key, target in targets.items():
-            if tuple(arrays[key].shape) != target.shape:
-                raise ShapeError(
-                    f"optimizer entry '{key}' has shape {target.shape}, state has {tuple(arrays[key].shape)}"
-                )
-        return [(target, arrays[key]) for key, target in targets.items()]
-
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray], t: int) -> None:
-        """Copy moment arrays into the arenas; a missing or off-shape entry raises ShapeError."""
-        for target, source in self.state_targets(arrays):
-            target[...] = source
-        self.t = t

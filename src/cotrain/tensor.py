@@ -1171,18 +1171,13 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _from_op(data, (a, gamma, beta), backward, "layer_norm", 8 * x.size)
 
 
-def conv3d(
-    x: Tensor,
-    kernel: Tensor,
-    stride: tuple[int, int, int] = (1, 1, 1),
-    padding: tuple[int, int, int] = (0, 0, 0),
-) -> Tensor:
+def conv3d(x: Tensor, kernel: Tensor) -> Tensor:
     """3-d convolution over ``(B, T, H, W, C_in)`` with kernel ``(kt, kh, kw, C_in, C_out)``.
 
-    When kernel == stride, padding is 0 and the windows tile the input exactly
-    (the patch embed and every pool conv), im2col and its inverse are a reshape
-    and a transpose of ``x`` around one GEMM each way; other shapes take the
-    general sliding-window path.
+    The stride is the kernel's extent and there is no padding, so the windows
+    tile the input (the patch embed and every pool conv): im2col and its
+    inverse are a reshape and a transpose of ``x`` around one GEMM each way.
+    An input that the kernel does not tile raises ConfigError.
     """
     xd, kd = x.data, kernel.data
     if xd.ndim != 5:
@@ -1195,34 +1190,15 @@ def conv3d(
         raise ShapeError(
             f"conv3d channel mismatch: input {xd.shape} vs kernel {kd.shape}"
         )
-    st, sh, sw = stride
-    pt, ph, pw = padding
-    if st < 1 or sh < 1 or sw < 1:
-        raise ConfigError(f"conv3d stride must be >= 1, got {stride}")
-    if pt < 0 or ph < 0 or pw < 0:
-        raise ConfigError(f"conv3d padding must be >= 0, got {padding}")
-    tp, hp, wp = t + 2 * pt, h + 2 * ph, w + 2 * pw
-    if kt > tp or kh > hp or kw > wp:
-        raise ConfigError(
-            f"conv3d kernel {kd.shape[:3]} larger than padded input ({tp},{hp},{wp})"
-        )
-    to = (tp - kt) // st + 1
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
+    if t % kt or h % kh or w % kw:
+        raise ConfigError(f"conv3d kernel {kd.shape[:3]} does not tile input ({t},{h},{w})")
+    to, ho, wo = t // kt, h // kh, w // kw
 
     k_mat = kd.reshape(kt * kh * kw * cin, cout)
     m = b * to * ho * wo
-    tiled = kt == st and kh == sh and kw == sw and not (pt or ph or pw) and to * kt == t and ho * kh == h and wo * kw == w
-    if tiled:
-        # Windows tile the input: im2col is a reshape + transpose of x (a view at unit stride).
-        tiles = xd.reshape(b, to, kt, ho, kh, wo, kw, cin).transpose(0, 1, 3, 5, 2, 4, 6, 7)
-        win_mat = _contiguous(tiles).reshape(m, kt * kh * kw * cin)
-    else:
-        xp = np.pad(xd, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0))) if pt or ph or pw else xd
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
-        win = win[:, ::st, ::sh, ::sw]  # (B, to, ho, wo, Cin, kt, kh, kw)
-        win = _contiguous(win.transpose(0, 1, 2, 3, 5, 6, 7, 4))
-        win_mat = win.reshape(m, kt * kh * kw * cin)
+    # im2col is a reshape + transpose of x (a view at unit stride).
+    tiles = xd.reshape(b, to, kt, ho, kh, wo, kw, cin).transpose(0, 1, 3, 5, 2, 4, 6, 7)
+    win_mat = _contiguous(tiles).reshape(m, kt * kh * kw * cin)
     data = np.matmul(win_mat, k_mat).reshape(b, to, ho, wo, cout)
     flops = 2 * data.size * kt * kh * kw * cin
     need_x = x.requires_grad
@@ -1233,25 +1209,10 @@ def conv3d(
         g_mat = g.reshape(m, cout)
         if win_for_k is not None:
             gk = np.matmul(win_for_k.T, g_mat).reshape(kt, kh, kw, cin, cout)
-        if need_x and tiled:
+        if need_x:
             # Each input element sits in exactly one window: col2im is the inverse transpose.
             gx = np.matmul(g_mat, k_mat.T).reshape(b, to, ho, wo, kt, kh, kw, cin)
             gx = _contiguous(gx.transpose(0, 1, 4, 2, 5, 3, 6, 7)).reshape(b, t, h, w, cin)
-        elif need_x:
-            gxp = np.zeros((b, tp, hp, wp, cin), dtype=g.dtype)
-            for i in range(kt):
-                for j in range(kh):
-                    for l in range(kw):
-                        contrib = np.matmul(g, kd[i, j, l].T)  # (B,to,ho,wo,Cin)
-                        gxp[
-                            :,
-                            i : i + st * to : st,
-                            j : j + sh * ho : sh,
-                            l : l + sw * wo : sw,
-                        ] += contrib
-            gx = gxp[:, pt : pt + t, ph : ph + h, pw : pw + w, :]
-            if pt or ph or pw:
-                gx = np.ascontiguousarray(gx)
         return gx, gk
 
     return _from_op(data, (x, kernel), backward, "conv3d", flops)

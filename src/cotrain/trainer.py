@@ -22,15 +22,15 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from . import losses as L
 from .backbone import Backbone, BackboneConfig
 from .data import MixedBatch, SyntheticSuite, sample_mixed_batch
-from .errors import ConfigError
-from .nn import Module, param_targets
+from .errors import ConfigError, ShapeError
+from .nn import Module
 from .optim import AdamW, lr_schedule
 from .rng import Rng
 from .tensor import Tensor, gather_rows, map_items, no_grad
@@ -195,13 +195,6 @@ class EvalResult:
     count: int
 
 
-class _StateLayout(NamedTuple):
-    """A state's checkpoint layout, and each parameter with the array the layout writes for it."""
-
-    layout: Layout
-    params: list[tuple[Tensor, np.ndarray]]
-
-
 @dataclass
 class TrainState:
     model: JointModel
@@ -211,7 +204,7 @@ class TrainState:
     step: int = 0
     config_hash: str = ""
     # Built by the first save or load (see :func:`_checkpoint_layout`).
-    _layout: Optional[_StateLayout] = field(default=None, repr=False, compare=False)
+    _layout: Optional[Layout] = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def create(
@@ -325,13 +318,37 @@ def _checkpoint_layout(state: TrainState) -> Layout:
     optimizer, it assumes the model keeps the parameter tensors it was
     created with.
     """
-    cached = state._layout
-    if cached is None or any(p.data is not data for p, data in cached.params):
-        params = state.opt.params
+    params = state.opt.params
+    layout = state._layout
+    # The parameters come first in the layout, so zip stops at the moments.
+    if layout is None or any(p.data is not data for p, data in zip(params.values(), layout.arrays)):
         arrays = {name: p.data for name, p in params.items()}
         arrays.update(state.opt.named_moments())
-        cached = state._layout = _StateLayout(Layout(arrays), [(p, p.data) for p in params.values()])
-    return cached.layout
+        layout = state._layout = Layout(arrays)
+    return layout
+
+
+def _entries_in_layout_order(layout: Layout, num_params: int, arrays: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+    """The parsed ``arrays`` that ``layout`` names, in its order, checked but not copied.
+
+    The layout's first ``num_params`` entries are the parameters and the rest
+    the optimizer moments.  A missing or off-shape entry raises ShapeError,
+    parameters first; extra entries are ignored.
+    """
+    names, targets = layout.names, layout.arrays
+    missing = sorted(set(names[:num_params]) - set(arrays))
+    if missing:
+        raise ShapeError(f"state is missing parameters: {missing}")
+    for name, target in zip(names[:num_params], targets):
+        if arrays[name].shape != target.shape:
+            raise ShapeError(f"parameter '{name}' has shape {target.shape}, state has {arrays[name].shape}")
+    missing = [key for key in names[num_params:] if key not in arrays]
+    if missing:
+        raise ShapeError(f"state is missing {len(missing)} optimizer moment arrays, first '{missing[0]}'")
+    for key, target in zip(names[num_params:], targets[num_params:]):
+        if arrays[key].shape != target.shape:
+            raise ShapeError(f"optimizer entry '{key}' has shape {target.shape}, state has {arrays[key].shape}")
+    return [arrays[name] for name in names]
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -366,9 +383,8 @@ def load_checkpoint(state: TrainState, path) -> TrainState:
     manifest without a non-negative integer ``step`` raises ConfigError.  A
     file that is the state's :func:`_checkpoint_layout` byte for byte outside
     its payloads is copied entry by entry into the layout's arrays; any other
-    file is parsed, and its entries are matched by name and checked by shape
-    (extra entries are ignored) against the optimizer's parameters, which
-    are the model's (:func:`nn.param_targets`).
+    file is parsed, and the entries the layout names are checked by shape
+    (extra entries are ignored) and copied into the layout's arrays.
     """
     path = Path(path)
     layout = _checkpoint_layout(state)
@@ -380,8 +396,8 @@ def load_checkpoint(state: TrainState, path) -> TrainState:
     if isinstance(arrays, list):
         layout.fill(arrays)
     else:
-        targets = param_targets(state.opt.params, arrays) + state.opt.state_targets(arrays)
-        for target, source in targets:
+        sources = _entries_in_layout_order(layout, len(state.opt.params), arrays)
+        for target, source in zip(layout.arrays, sources):
             target[...] = source
     state.step = step
     state.opt.t = step

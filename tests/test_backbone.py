@@ -86,6 +86,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             BackboneConfig(stages=stages)
 
+    @pytest.mark.parametrize(
+        "kv_strides,blocks,refused",
+        [
+            ((3, 1), 2, True),  # stage 0 pools keys and values on a 4-grid
+            ((1, 3), 2, True),  # stage 1's first block pools a 4-grid
+            ((1, 4), 2, True),  # stage 1's second block pools the 2-grid after the query stride
+            ((1, 4), 1, False),  # a 1-block stage pools keys and values on its 4-grid only
+            ((2, 2), 2, False),
+            ((4, 1), 2, False),
+        ],
+    )
+    def test_key_value_stride_must_divide_every_pooled_grid(self, kv_strides, blocks, refused):
+        stages = (
+            StageConfig(blocks=2, dim=8, heads=2, kv_stride=(kv_strides[0],) * 3),
+            StageConfig(blocks=blocks, dim=8, heads=2, q_stride=(2, 2, 2), kv_stride=(kv_strides[1],) * 3),
+        )
+        if refused:
+            with pytest.raises(ConfigError, match="key/value stride"):
+                BackboneConfig(stages=stages)
+        else:
+            assert BackboneConfig(stages=stages).token_grid(1) == (2, 2, 2)
+
 
 class TestPooledAttention:
     @pytest.mark.parametrize(

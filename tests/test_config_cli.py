@@ -8,10 +8,13 @@ import pytest
 from cotrain import cli
 from cotrain import libc as libc_module
 from cotrain import trainer
+from cotrain.backbone import BackboneConfig
 from cotrain.cli import main
 from cotrain.config import SCHEMA, RunConfig, write_resolved
 from cotrain.errors import ConfigError
 from cotrain.tensor_io import load_arrays, save_arrays
+
+from test_acceptance import _matrix_suite
 
 TINY_INI = """\
 [backbone]
@@ -91,6 +94,10 @@ REFUSED_SETTINGS = {
         ["train", "--set", "backbone.stage_dims=8,16"],
         "backbone stage lists must have equal lengths",
     ),
+    "train-kv-stride": (
+        ["train", "--set", "backbone.stage_kv_strides=3"],
+        "stage 0: key/value stride (3, 3, 3) does not divide token grid (2, 2, 2)",
+    ),
     "train-branch-mode": (
         ["train", "--set", "datasets.count=1", "--set", "train.mode=wo_informative_wo_projadd"],
         ONE_DATASET_BRANCH_ERROR.removeprefix("error: "),
@@ -121,6 +128,16 @@ class TestRunConfig:
         for section, keys in SCHEMA.items():
             for key in keys:
                 assert cfg.get(section, key) == SCHEMA[section][key][1]
+
+    def test_defaults_are_what_the_gate_trains(self):
+        """The schema's defaults and the dataclasses' defaults are written out apart; they must agree."""
+        cfg = RunConfig.defaults()
+        assert cfg.backbone_config() == BackboneConfig()
+        assert cfg.train_config() == trainer.TrainConfig()
+        assert cfg.loss_config() == trainer.LossConfig()
+        suite, gate = cfg.suite(), _matrix_suite()
+        assert suite.specs == gate.specs
+        assert suite.assignment == gate.assignment
 
     def test_file_then_override_precedence(self, tiny_ini):
         cfg = RunConfig.load(tiny_ini, ["train.steps=9"])

@@ -1,4 +1,4 @@
-"""conv3d against a brute-force sliding-window oracle."""
+"""conv3d against a brute-force window-by-window oracle."""
 
 import itertools
 
@@ -13,48 +13,37 @@ from cotrain.rng import Rng
 from cotrain.tensor import Tensor
 
 
-def conv3d_oracle(x, kernel, stride, padding):
-    """Direct loop evaluation of the conv3d contract; slow but obviously right."""
+def conv3d_oracle(x, kernel):
+    """Direct loop evaluation of the conv3d contract (stride = kernel extent); slow but obviously right."""
     b, t, h, w, cin = x.shape
     kt, kh, kw, _, cout = kernel.shape
-    st, sh, sw = stride
-    pt, ph, pw = padding
-    xp = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0)))
-    to = (t + 2 * pt - kt) // st + 1
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
+    to, ho, wo = t // kt, h // kh, w // kw
     out = np.zeros((b, to, ho, wo, cout), dtype=x.dtype)
     for bi, ti, hi, wi in itertools.product(range(b), range(to), range(ho), range(wo)):
-        window = xp[
-            bi,
-            ti * st : ti * st + kt,
-            hi * sh : hi * sh + kh,
-            wi * sw : wi * sw + kw,
-            :,
-        ]
+        window = x[bi, ti * kt : (ti + 1) * kt, hi * kh : (hi + 1) * kh, wi * kw : (wi + 1) * kw, :]
         for co in range(cout):
             out[bi, ti, hi, wi, co] = (window * kernel[..., co]).sum()
     return out
 
 
 CASES = [
-    # (input shape, kernel shape, stride, padding)
-    ((1, 4, 4, 4, 1), (2, 2, 2, 1, 3), (1, 1, 1), (0, 0, 0)),
-    ((2, 6, 8, 8, 3), (3, 3, 3, 3, 4), (2, 2, 2), (0, 0, 0)),
-    ((2, 5, 7, 6, 2), (2, 3, 2, 2, 3), (1, 2, 3), (1, 1, 0)),
-    ((1, 8, 16, 16, 1), (2, 4, 4, 1, 16), (2, 4, 4), (0, 0, 0)),  # patch-embed shape
-    ((3, 4, 5, 5, 2), (1, 1, 1, 2, 2), (1, 1, 1), (0, 0, 0)),
-    ((1, 3, 3, 3, 1), (3, 3, 3, 1, 2), (1, 1, 1), (1, 1, 1)),
+    # (input shape, kernel shape); the kernel tiles the input
+    ((1, 4, 4, 4, 1), (2, 2, 2, 1, 3)),
+    ((2, 6, 9, 6, 3), (3, 3, 3, 3, 4)),
+    ((2, 4, 6, 6, 2), (2, 3, 2, 2, 3)),
+    ((1, 8, 16, 16, 1), (2, 4, 4, 1, 16)),  # patch-embed shape
+    ((3, 4, 5, 5, 2), (1, 1, 1, 2, 2)),
+    ((1, 3, 3, 3, 1), (3, 3, 3, 1, 2)),  # one window covers the input
 ]
 
 
-@pytest.mark.parametrize("x_shape,k_shape,stride,padding", CASES)
-def test_forward_matches_oracle(x_shape, k_shape, stride, padding):
+@pytest.mark.parametrize("x_shape,k_shape", CASES)
+def test_forward_matches_oracle(x_shape, k_shape):
     rng = Rng(7, hash(x_shape) & 0xFFFF)
     x = rng.normal(x_shape).astype(np.float64)
     k = rng.normal(k_shape).astype(np.float64)
-    out = T.conv3d(Tensor(x), Tensor(k), stride=stride, padding=padding)
-    npt.assert_allclose(out.data, conv3d_oracle(x, k, stride, padding), rtol=1e-12, atol=1e-12)
+    out = T.conv3d(Tensor(x), Tensor(k))
+    npt.assert_allclose(out.data, conv3d_oracle(x, k), rtol=1e-12, atol=1e-12)
 
 
 def test_pointwise_kernel_is_matmul():
@@ -75,27 +64,6 @@ def test_pointwise_input_gradient():
     npt.assert_allclose(x.grad, expected, rtol=1e-12)
 
 
-def test_strided_padded_gradients_match_finite_differences():
-    rng = Rng(13, 0)
-    x0 = rng.normal((2, 5, 6, 5, 2)).astype(np.float64)
-    k0 = rng.normal((2, 3, 2, 2, 3)).astype(np.float64)
-    k = Tensor(k0)
-    mask = Tensor(rng.normal((2, 2, 3, 2, 3)).astype(np.float64))
-
-    err_x = finite_diff_check(
-        lambda v: (T.conv3d(v, k, stride=(2, 2, 2), padding=(0, 1, 0)) * mask).sum(),
-        Tensor(x0),
-    )
-    assert err_x < 1e-8
-
-    x = Tensor(x0)
-    err_k = finite_diff_check(
-        lambda v: (T.conv3d(x, v, stride=(2, 2, 2), padding=(0, 1, 0)) * mask).sum(),
-        Tensor(k0),
-    )
-    assert err_k < 1e-8
-
-
 def test_flop_accounting():
     x = Tensor(np.ones((1, 4, 4, 4, 2)))
     k = Tensor(np.ones((2, 2, 2, 2, 3)))
@@ -113,29 +81,16 @@ class TestValidation:
         with pytest.raises(ShapeError):
             T.conv3d(Tensor(np.zeros((1, 4, 4, 4, 2))), Tensor(np.zeros((1, 1, 1, 3, 1))))
 
-    def test_bad_stride(self):
-        with pytest.raises(ConfigError):
-            T.conv3d(
-                Tensor(np.zeros((1, 4, 4, 4, 1))),
-                Tensor(np.zeros((1, 1, 1, 1, 1))),
-                stride=(0, 1, 1),
-            )
-
-    def test_negative_padding(self):
-        with pytest.raises(ConfigError):
-            T.conv3d(
-                Tensor(np.zeros((1, 4, 4, 4, 1))),
-                Tensor(np.zeros((1, 1, 1, 1, 1))),
-                padding=(-1, 0, 0),
-            )
-
     def test_kernel_larger_than_input(self):
         with pytest.raises(ConfigError):
             T.conv3d(Tensor(np.zeros((1, 2, 2, 2, 1))), Tensor(np.zeros((3, 1, 1, 1, 1))))
 
+    def test_kernel_must_tile_input(self):
+        with pytest.raises(ConfigError, match="does not tile"):
+            T.conv3d(Tensor(np.zeros((1, 4, 6, 4, 1))), Tensor(np.zeros((2, 4, 2, 1, 1))))
 
-# Kernel == stride, no padding, windows tile the input: the shapes the model
-# uses (patch embed, strided pool conv, unit-stride pool conv).
+
+# The shapes the model uses (patch embed, strided pool conv, unit-stride pool conv).
 TILED_CASES = [
     ((2, 4, 8, 8, 1), (2, 4, 4, 1, 3)),
     ((2, 4, 4, 6, 3), (2, 2, 2, 3, 4)),
@@ -148,8 +103,8 @@ def test_tiled_forward_matches_oracle(x_shape, k_shape):
     rng = Rng(17, hash(k_shape) & 0xFFFF)
     x = rng.normal(x_shape)
     k = rng.normal(k_shape)
-    out = T.conv3d(Tensor(x), Tensor(k), stride=k_shape[:3])
-    npt.assert_allclose(out.data, conv3d_oracle(x, k, k_shape[:3], (0, 0, 0)), rtol=1e-12, atol=1e-12)
+    out = T.conv3d(Tensor(x), Tensor(k))
+    npt.assert_allclose(out.data, conv3d_oracle(x, k), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("x_shape,k_shape", TILED_CASES)
@@ -157,14 +112,13 @@ def test_tiled_gradients_match_finite_differences(x_shape, k_shape):
     rng = Rng(19, hash(k_shape) & 0xFFFF)
     x0 = rng.normal(x_shape)
     k0 = rng.normal(k_shape)
-    stride = k_shape[:3]
-    out_shape = (x_shape[0], *(n // s for n, s in zip(x_shape[1:4], stride)), k_shape[-1])
+    out_shape = (x_shape[0], *(n // s for n, s in zip(x_shape[1:4], k_shape[:3])), k_shape[-1])
     mask = Tensor(rng.normal(out_shape))
     # The other operand also requires grad, so both backward branches run.
     k = Tensor(k0, requires_grad=True)
-    assert finite_diff_check(lambda v: (T.conv3d(v, k, stride=stride) * mask).sum(), Tensor(x0)) < 1e-8
+    assert finite_diff_check(lambda v: (T.conv3d(v, k) * mask).sum(), Tensor(x0)) < 1e-8
     x = Tensor(x0, requires_grad=True)
-    assert finite_diff_check(lambda v: (T.conv3d(x, v, stride=stride) * mask).sum(), Tensor(k0)) < 1e-8
+    assert finite_diff_check(lambda v: (T.conv3d(x, v) * mask).sum(), Tensor(k0)) < 1e-8
 
 
 def general_conv3d(x, k, stride):
@@ -217,7 +171,7 @@ def test_tiled_path_is_bitwise_the_general_path(x_shape, k_shape, pin_gx):
     g = rng.normal((x_shape[0], *(n // s for n, s in zip(x_shape[1:4], k_shape[:3])), k_shape[-1]))
     g = g.astype(np.float32)
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-    out = T.conv3d(xt, kt, stride=k_shape[:3])
+    out = T.conv3d(xt, kt)
     (out * Tensor(g)).sum().backward()
     ref, ref_grads = general_conv3d(x, k, k_shape[:3])
     ref_gx, ref_gk = ref_grads(g)

@@ -312,7 +312,7 @@ def _split_cases(lead):
     m = _rows_over_split(lead, 64)
     s = int(np.ceil(np.sqrt(T.SPLIT_SIZE / (lead * 2))))  # attention scores (lead, 2, s, s)
     hw = 2 * int(np.ceil(np.sqrt(T.SPLIT_SIZE / (lead * 4 * 8)) / 2))  # (lead, 4, hw, hw, 8)
-    hw_win = int(np.ceil(np.sqrt(T.SPLIT_SIZE / (lead * 2 * 4 * 27))))  # 27 windows per output
+    hw_patch = 4 * int(np.ceil(np.sqrt(T.SPLIT_SIZE / (lead * 2 * 3)) / 4))  # (lead, 2, hw_patch, hw_patch, 3)
     return {
         "gelu": (T.gelu, [(lead, m, 64)]),
         "softmax": (lambda x: T.softmax(x, axis=-1), [(lead, m, 64)]),
@@ -327,11 +327,8 @@ def _split_cases(lead):
         "mul": (T.mul, [(lead, m, 64), (lead, m, 64)]),
         "div": (lambda x, y: x / (y * y + 1.0), [(lead, m, 64), (lead, m, 64)]),
         "reused_input": (lambda x: x * x + x, [(lead, m, 64)]),
-        "conv3d_tiled": (lambda x, k: T.conv3d(x, k, stride=(2, 2, 2)), [(lead, 4, hw, hw, 8), (2, 2, 2, 8, 8)]),
-        "conv3d_window": (
-            lambda x, k: T.conv3d(x, k, padding=(1, 1, 1)),
-            [(lead, 2, hw_win, hw_win, 4), (3, 3, 3, 4, 4)],
-        ),
+        "conv3d_tiled": (T.conv3d, [(lead, 4, hw, hw, 8), (2, 2, 2, 8, 8)]),
+        "conv3d_patch_embed": (T.conv3d, [(lead, 2, hw_patch, hw_patch, 3), (2, 4, 4, 3, 8)]),
     }
 
 
