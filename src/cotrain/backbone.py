@@ -3,8 +3,9 @@
 The network turns a clip ``(B, T, H, W, C)`` into one embedding per clip.  A
 strided 3-d convolution cuts the clip into tokens, a learned absolute
 positional embedding is added (no class token), and a stack of attention
-blocks follows.  Spatial resolution drops at stage transitions by pooling the
-attention queries; channel width grows in the MLP of the last block of the
+blocks follows.  Spatial resolution drops at stage transitions: a stage's
+query stride pools the attention queries of its first block, and the first
+stage's stride is 1.  Channel width grows in the MLP of the last block of the
 preceding stage, so every attention layer runs at its stage's width.  The
 final embedding is the mean over tokens of the normalized last-stage features.
 
@@ -63,6 +64,11 @@ class BackboneConfig:
                 )
         if not self.stages:
             raise ConfigError("backbone needs at least one stage")
+        if self.stages[0].q_stride != (1, 1, 1):
+            raise ConfigError(
+                f"stage 0: query stride must be (1, 1, 1), got {self.stages[0].q_stride}; "
+                "the first stage runs on the patch grid"
+            )
         grid = list(self.token_grid(0))
         for i, stage in enumerate(self.stages):
             if stage.blocks < 1:
@@ -71,16 +77,15 @@ class BackboneConfig:
                 raise ConfigError(
                     f"stage {i}: dim {stage.dim} not divisible by {stage.heads} heads"
                 )
-            stride = stage.q_stride if i > 0 else (1, 1, 1)
             # Keys and values are pooled on the first block's input grid and,
             # in later blocks, on the grid after the query stride.
             kv_grids = [tuple(grid)]
-            for ax in range(3):
-                if stride[ax] < 1 or grid[ax] % stride[ax]:
+            for ax, s in enumerate(stage.q_stride):
+                if s < 1 or grid[ax] % s:
                     raise ConfigError(
-                        f"stage {i}: query stride {stride} does not divide token grid {tuple(grid)}"
+                        f"stage {i}: query stride {stage.q_stride} does not divide token grid {tuple(grid)}"
                     )
-                grid[ax] //= stride[ax]
+                grid[ax] //= s
             if stage.blocks > 1:
                 kv_grids.append(tuple(grid))
             for kv_grid in kv_grids:
@@ -90,11 +95,11 @@ class BackboneConfig:
                     )
 
     def token_grid(self, upto_stage: int) -> Grid:
-        """Token grid after the patch embed and the first ``upto_stage`` stage transitions."""
+        """Token grid after the patch embed and the query strides of stages ``0..upto_stage``."""
         t, h, w, _ = self.input_shape
         grid = (t // self.patch[0], h // self.patch[1], w // self.patch[2])
-        for i in range(1, upto_stage + 1):
-            s = self.stages[i].q_stride
+        for stage in self.stages[: upto_stage + 1]:
+            s = stage.q_stride
             grid = (grid[0] // s[0], grid[1] // s[1], grid[2] // s[2])
         return grid
 
@@ -224,7 +229,7 @@ class Backbone(Module):
             for j in range(stage.blocks):
                 last = j == stage.blocks - 1
                 dim_out = stages[i + 1].dim if last and i + 1 < len(stages) else stage.dim
-                q_stride = stage.q_stride if (i > 0 and j == 0) else (1, 1, 1)
+                q_stride = stage.q_stride if j == 0 else (1, 1, 1)
                 self.blocks[f"stage{i}.block{j}"] = Block(
                     stage.dim,
                     dim_out,

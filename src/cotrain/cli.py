@@ -9,7 +9,10 @@ Each command resolves and checks its whole config, and builds every state it
 will train, before it writes anything, so a refused command exits 1 and
 leaves no run directory.  The run itself (steps, evaluations, checkpoints) is
 :func:`cotrain.trainer.run`; ``train`` and ``ablate`` add the argument
-handling and the report.
+handling and the report.  ``eval`` and ``inspect-projections`` take the
+config of the checkpoint's run: ``--config`` if given, else the
+``resolved_config.cfg`` the run wrote beside it, else the defaults; then
+``--set`` and ``--seed``.
 
 Run directories are append-only: a second run aimed at a non-empty directory
 is refused unless ``--force`` is given, which clears it first.
@@ -97,11 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, path: Optional[str] = None) -> RunConfig:
+    """``path`` (default ``--config``), then ``--set`` and ``--seed``."""
     overrides = list(args.overrides)
     if getattr(args, "seed", None) is not None:
         overrides.append(f"train.seed={args.seed}")
-    return RunConfig.load(args.config, overrides)
+    return RunConfig.load(path or args.config, overrides)
+
+
+def _checkpoint_config(args) -> RunConfig:
+    """``--config``, else the ``resolved_config.cfg`` beside ``--checkpoint``, else the defaults; then the overrides."""
+    sibling = Path(args.checkpoint).parent / "resolved_config.cfg"
+    if args.config is None and sibling.exists():
+        return _load_config(args, str(sibling))
+    return _load_config(args)
 
 
 def _prepare_out(args, default_name: str) -> Path:
@@ -167,7 +179,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+    cfg = _checkpoint_config(args)
     eval_batch = cfg.run_settings()["eval_batch"]
     state = cfg.train_state()
     _load_checkpoint(state, args.checkpoint)
@@ -244,11 +256,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_inspect_projections(args) -> int:
-    cfg = _load_config(args)
-    ckpt = Path(args.checkpoint)
-    sibling = ckpt.parent / "resolved_config.cfg"
-    if args.config is None and sibling.exists():
-        cfg = RunConfig.load(str(sibling), args.overrides)
+    cfg = _checkpoint_config(args)
     state = cfg.train_state()
     suite = state.suite
     if state.model.projections is None:

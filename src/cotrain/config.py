@@ -1,7 +1,10 @@
 """Run configuration: INI files with a closed schema.
 
 Every key lives in one of five sections and has a typed default, so a config
-file (or ``--set section.key=value`` override) only ever narrows the run.
+file (or ``--set section.key=value`` override) only ever narrows the run.  The
+``backbone``, ``loss`` and ``train`` keys and their defaults are read from
+:class:`BackboneConfig`, :class:`LossConfig` and :class:`TrainConfig`, which
+stay the one place those defaults are written.
 Unknown sections or keys abort before any computation with the offending key
 path.  The fully resolved configuration can be rendered back out; runs echo it
 into their output directory and hash it into checkpoint manifests.
@@ -11,9 +14,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .backbone import BackboneConfig, StageConfig
 from .data import BiasProfile, SyntheticSuite, generate_synthetic_suite
@@ -21,26 +24,19 @@ from .errors import ConfigError
 from .trainer import LossConfig, TrainConfig, TrainState
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+def _parse_list(item: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """A parser of comma-separated ``item`` values; blank text is the empty tuple."""
+    return lambda text: tuple(item(part) for part in text.split(",")) if text.strip() else ()
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(part) for part in text.split(","))
-
-
+# A field's annotation names its parser (``from __future__ import annotations``
+# keeps it a string), so the dataclasses' fields are schema keys as they stand.
 _PARSERS = {
     "int": int,
     "float": float,
     "str": lambda s: s.strip(),
-    "ints": _parse_int_list,
-    "floats": _parse_float_list,
+    "ints": _parse_list(int),
+    "floats": _parse_list(float),
 }
 
 
@@ -50,29 +46,36 @@ def _render(value: Any) -> str:
     return str(value)
 
 
+def _field_keys(cls, skip: str = "") -> dict[str, tuple[str, Any]]:
+    """``(type, default)`` of every field of the dataclass ``cls`` but ``skip``, in field order."""
+    return {f.name: (f.type, f.default) for f in fields(cls) if f.name != skip}
+
+
+def _backbone_keys() -> dict[str, tuple[str, Any]]:
+    """:class:`BackboneConfig`'s defaults, one key per input and patch axis and one list per stage field.
+
+    A stride is one value per stage, applied on all three axes.
+    """
+    bb = BackboneConfig()
+    return {
+        **{f"input_{axis}": ("int", n) for axis, n in zip("thwc", bb.input_shape)},
+        **{f"patch_{axis}": ("int", n) for axis, n in zip("thw", bb.patch)},
+        "stage_blocks": ("ints", tuple(stage.blocks for stage in bb.stages)),
+        "stage_dims": ("ints", tuple(stage.dim for stage in bb.stages)),
+        "stage_heads": ("ints", tuple(stage.heads for stage in bb.stages)),
+        "stage_q_strides": ("ints", tuple(stage.q_stride[0] for stage in bb.stages)),
+        "stage_kv_strides": ("ints", tuple(stage.kv_stride[0] for stage in bb.stages)),
+        "mlp_ratio": ("float", bb.mlp_ratio),
+        "ln_eps": ("float", bb.ln_eps),
+    }
+
+
 # (type, default) for every key.  Empty tuples mean "derive a default".
+# ``mixing`` is a TrainConfig field but says how the suite is sampled, so it
+# sits with the datasets.
 SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
-    "backbone": {
-        "input_t": ("int", 8),
-        "input_h": ("int", 16),
-        "input_w": ("int", 16),
-        "input_c": ("int", 1),
-        "patch_t": ("int", 2),
-        "patch_h": ("int", 4),
-        "patch_w": ("int", 4),
-        "stage_blocks": ("ints", (2, 2)),
-        "stage_dims": ("ints", (16, 32)),
-        "stage_heads": ("ints", (2, 4)),
-        "stage_q_strides": ("ints", (1, 2)),
-        "stage_kv_strides": ("ints", (1, 1)),
-        "mlp_ratio": ("float", 4.0),
-        "ln_eps": ("float", 1e-5),
-    },
-    "loss": {
-        "eps": ("float", 1e-4),
-        "expander_hidden": ("int", 0),
-        "sigma_init": ("float", 1.0),
-    },
+    "backbone": _backbone_keys(),
+    "loss": _field_keys(LossConfig),
     "datasets": {
         "seed": ("int", 7),
         "count": ("int", 3),
@@ -81,27 +84,13 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "test_size": ("ints", (100,)),
         "concepts": ("int", 0),
         "shared_classes": ("int", -1),
-        "mixing": ("str", "proportional"),
+        "mixing": ("str", TrainConfig.mixing),
         "bias_offsets": ("floats", ()),
         "bias_noise": ("floats", ()),
         "bias_decimation": ("ints", ()),
         "bias_blob_scale": ("floats", ()),
     },
-    "train": {
-        "steps": ("int", 2000),
-        "batch_size": ("int", 16),
-        "base_lr": ("float", 1e-3),
-        "lr_min": ("float", 0.0),
-        "warmup_steps": ("int", 300),
-        "weight_decay": ("float", 0.05),
-        "beta1": ("float", 0.9),
-        "beta2": ("float", 0.999),
-        "adam_eps": ("float", 1e-8),
-        "grad_clip": ("float", 1.0),
-        "seed": ("int", 1),
-        "mode": ("str", "full"),
-        "checkpoint_every": ("int", 0),
-    },
+    "train": {**_field_keys(TrainConfig, skip="mixing"), "checkpoint_every": ("int", 0)},
     "report": {
         "eval_every": ("int", 0),
         "eval_batch": ("int", 64),
@@ -196,38 +185,25 @@ class RunConfig:
             for i in range(n)
         )
         return BackboneConfig(
-            input_shape=(v["input_t"], v["input_h"], v["input_w"], v["input_c"]),
-            patch=(v["patch_t"], v["patch_h"], v["patch_w"]),
+            input_shape=tuple(v[f"input_{axis}"] for axis in "thwc"),
+            patch=tuple(v[f"patch_{axis}"] for axis in "thw"),
             stages=stages,
             mlp_ratio=v["mlp_ratio"],
             ln_eps=v["ln_eps"],
         )
 
     def loss_config(self) -> LossConfig:
-        v = self.values["loss"]
-        return LossConfig(
-            eps=v["eps"],
-            expander_hidden=v["expander_hidden"],
-            sigma_init=v["sigma_init"],
-        )
+        return LossConfig(**self.values["loss"])
 
     def train_config(self, mode: Optional[str] = None, seed: Optional[int] = None) -> TrainConfig:
-        v = self.values["train"]
-        return TrainConfig(
-            mode=mode if mode is not None else v["mode"],
-            steps=v["steps"],
-            batch_size=v["batch_size"],
-            base_lr=v["base_lr"],
-            lr_min=v["lr_min"],
-            warmup_steps=v["warmup_steps"],
-            weight_decay=v["weight_decay"],
-            beta1=v["beta1"],
-            beta2=v["beta2"],
-            adam_eps=v["adam_eps"],
-            grad_clip=v["grad_clip"],
-            seed=seed if seed is not None else v["seed"],
-            mixing=self.values["datasets"]["mixing"],
-        )
+        """The ``train`` section but ``checkpoint_every``, with ``datasets.mixing``; ``mode`` and ``seed`` override theirs."""
+        settings = {**self.values["train"], "mixing": self.get("datasets", "mixing")}
+        del settings["checkpoint_every"]
+        if mode is not None:
+            settings["mode"] = mode
+        if seed is not None:
+            settings["seed"] = seed
+        return TrainConfig(**settings)
 
     def run_settings(self) -> dict[str, int]:
         """``report.eval_every``, ``report.eval_batch`` and ``train.checkpoint_every``, keyed as :func:`trainer.run` takes them.

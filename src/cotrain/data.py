@@ -438,6 +438,13 @@ def generate_synthetic_suite(
     return SyntheticSuite(seed, specs, concepts, assignment, clip_shape)
 
 
+# Each ``mixing`` mode's dataset probabilities from the train-split sizes.
+MIXING = {
+    "proportional": lambda sizes: sizes / sizes.sum(),
+    "uniform": lambda sizes: np.full(len(sizes), 1.0 / len(sizes)),
+}
+
+
 def sample_mixed_batch(
     rng: Rng,
     batch_size: int,
@@ -455,12 +462,9 @@ def sample_mixed_batch(
     sizes = np.array([spec.train_size for spec in suite.specs], dtype=np.float64)
     if (sizes < 1).any():
         raise ConfigError("cannot sample from an empty train split")
-    if mixing == "proportional":
-        probs = sizes / sizes.sum()
-    elif mixing == "uniform":
-        probs = np.full(len(sizes), 1.0 / len(sizes))
-    else:
+    if mixing not in MIXING:
         raise ConfigError(f"unknown mixing mode '{mixing}'")
+    probs = MIXING[mixing](sizes)
     dataset_ids = rng.choice(len(suite.specs), size=batch_size, p=probs)
     picks = rng.uniform(shape=batch_size)
     sample_ids = np.empty(batch_size, dtype=np.int64)

@@ -18,7 +18,6 @@ and moment arrays plus the step counter to resume bit-exactly.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import losses as L
 from .backbone import Backbone, BackboneConfig
-from .data import MixedBatch, SyntheticSuite, sample_mixed_batch
+from .data import MIXING, MixedBatch, SyntheticSuite, sample_mixed_batch
 from .errors import ConfigError, ShapeError
 from .nn import Module
 from .optim import AdamW, lr_schedule
@@ -78,6 +77,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"train.mode must be one of {tuple(MODES)}, got '{self.mode}'")
+        if self.mixing not in MIXING:
+            raise ConfigError(f"unknown mixing mode '{self.mixing}'")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 2:
@@ -202,6 +203,8 @@ class TrainState:
     config: TrainConfig
     suite: SyntheticSuite
     step: int = 0
+    # Written into every checkpoint manifest: the run's RunConfig.hash(), or
+    # empty for a state built without one.
     config_hash: str = ""
     # Built by the first save or load (see :func:`_checkpoint_layout`).
     _layout: Optional[Layout] = field(default=None, repr=False, compare=False)
@@ -222,9 +225,6 @@ class TrainState:
             eps=train_config.adam_eps,
             weight_decay=train_config.weight_decay,
         )
-        if not config_hash:
-            blob = repr((backbone_config, train_config, loss_config, suite.seed)).encode()
-            config_hash = hashlib.sha256(blob).hexdigest()[:16]
         return TrainState(model, opt, train_config, suite, step=0, config_hash=config_hash)
 
 

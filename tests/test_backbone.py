@@ -86,6 +86,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             BackboneConfig(stages=stages)
 
+    def test_first_stage_query_stride_must_be_one(self):
+        """It had been accepted and then ignored, so the run trained the unit-stride model."""
+        stages = (StageConfig(blocks=1, dim=8, heads=2, q_stride=(2, 2, 2)),)
+        with pytest.raises(ConfigError, match=r"stage 0: query stride must be \(1, 1, 1\), got \(2, 2, 2\)"):
+            BackboneConfig(stages=stages)
+
     @pytest.mark.parametrize(
         "kv_strides,blocks,refused",
         [

@@ -10,7 +10,7 @@ from cotrain import libc as libc_module
 from cotrain import trainer
 from cotrain.backbone import BackboneConfig
 from cotrain.cli import main
-from cotrain.config import SCHEMA, RunConfig, write_resolved
+from cotrain.config import _PARSERS, SCHEMA, RunConfig, write_resolved
 from cotrain.errors import ConfigError
 from cotrain.tensor_io import load_arrays, save_arrays
 
@@ -98,6 +98,11 @@ REFUSED_SETTINGS = {
         ["train", "--set", "backbone.stage_kv_strides=3"],
         "stage 0: key/value stride (3, 3, 3) does not divide token grid (2, 2, 2)",
     ),
+    "train-first-stage-q-stride": (
+        ["train", "--set", "backbone.stage_q_strides=2"],
+        "stage 0: query stride must be (1, 1, 1), got (2, 2, 2); the first stage runs on the patch grid",
+    ),
+    "train-mixing": (["train", "--set", "datasets.mixing=bogus"], "unknown mixing mode 'bogus'"),
     "train-branch-mode": (
         ["train", "--set", "datasets.count=1", "--set", "train.mode=wo_informative_wo_projadd"],
         ONE_DATASET_BRANCH_ERROR.removeprefix("error: "),
@@ -130,7 +135,7 @@ class TestRunConfig:
                 assert cfg.get(section, key) == SCHEMA[section][key][1]
 
     def test_defaults_are_what_the_gate_trains(self):
-        """The schema's defaults and the dataclasses' defaults are written out apart; they must agree."""
+        """The schema reads its backbone, loss and train defaults from the dataclasses; the suite's must match the gate's."""
         cfg = RunConfig.defaults()
         assert cfg.backbone_config() == BackboneConfig()
         assert cfg.train_config() == trainer.TrainConfig()
@@ -138,6 +143,23 @@ class TestRunConfig:
         suite, gate = cfg.suite(), _matrix_suite()
         assert suite.specs == gate.specs
         assert suite.assignment == gate.assignment
+
+    def test_render_and_hash_are_the_recorded_bytes(self, tiny_ini):
+        """sha256 of ``render()``, recorded at commit bb56e53, and the hash it gives.
+
+        A reordered, renamed or re-rendered key changes them, and with them
+        every run's resolved_config.cfg and checkpoint manifests.
+        """
+        recorded = [
+            (RunConfig.defaults(), "5d75d8e26eae705ea40f4e016ba16b8e3de972b38da1ac350481aea729054ec8"),
+            (RunConfig.load(tiny_ini), "676b0e92931a6abb877f3d78e465f6ee435aed2e3928e8775db7d2ff1315fb9b"),
+        ]
+        for cfg, digest in recorded:
+            assert hashlib.sha256(cfg.render().encode()).hexdigest() == digest
+            assert cfg.hash() == digest[:16]
+
+    def test_every_schema_type_has_a_parser(self):
+        assert {kind for keys in SCHEMA.values() for kind, _ in keys.values()} <= set(_PARSERS)
 
     def test_file_then_override_precedence(self, tiny_ini):
         cfg = RunConfig.load(tiny_ini, ["train.steps=9"])
@@ -374,6 +396,13 @@ class TestCliEvalAndInspect:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("aster") for line in lines)
         assert any(line.startswith("briar") for line in lines)
+
+    def test_eval_uses_sibling_config(self, trained_run, capsys):
+        """Without --config, eval reads the run's resolved_config.cfg: the defaults had failed with "has shape"."""
+        code = main(["eval", "--checkpoint", str(trained_run / "checkpoint_6.mttn")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["aster", "briar"]
 
     def test_inspect_uses_sibling_config(self, trained_run, capsys):
         code = main(

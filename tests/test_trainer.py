@@ -77,6 +77,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             tiny_config(batch_size=1)
 
+    def test_unknown_mixing_rejected(self):
+        """Refused when the config is built, not at the first batch it samples."""
+        with pytest.raises(ConfigError, match="unknown mixing mode 'weighted'"):
+            tiny_config(mixing="weighted")
+
 
 class TestBuildModel:
     def test_full_has_every_component(self):
@@ -371,12 +376,18 @@ class TestCheckpointing:
 
     def test_manifest_records_step_and_hash(self, tmp_path):
         path = tmp_path / "ckpt.mttn"
-        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config())
+        state = TrainState.create(tiny_backbone(), tiny_suite(), tiny_config(), config_hash="0123456789abcdef")
         train_steps(state, 2)
         save_checkpoint(state, path)
         manifest = json.loads((tmp_path / "ckpt.mttn.json").read_text())
         assert manifest["step"] == 2
-        assert manifest["config_hash"] == state.config_hash
+        assert manifest["config_hash"] == "0123456789abcdef"
+
+    def test_a_state_built_without_a_config_hash_writes_an_empty_one(self, tmp_path):
+        """Only RunConfig.hash() tags a checkpoint; the API derives no hash of its own."""
+        path = tmp_path / "ckpt.mttn"
+        save_checkpoint(TrainState.create(tiny_backbone(), tiny_suite(), tiny_config()), path)
+        assert json.loads((tmp_path / "ckpt.mttn.json").read_text()) == {"step": 0, "config_hash": ""}
 
 
 def _snapshot(state):
