@@ -16,7 +16,9 @@ Each block computes::
 
 where the residual ``Pool`` reuses the query-pooling convolution, applied per
 attention head, and the attention itself adds the pooled query to the
-attention output right before the output projection.
+attention output right before the output projection.  Each layer's scores,
+softmax and value mix are one tape node, ``tensor.attention``, which also
+runs evaluation's batch blocks (``tensor.ATTENTION_BLOCK_SIZE``).
 """
 from __future__ import annotations
 
@@ -131,28 +133,6 @@ def _pool_tokens(x: Tensor, grid: Grid, pool: PoolConv) -> tuple[Tensor, Grid]:
     return out, (to, ho, wo)
 
 
-def _attend(q: Tensor, kt: Tensor, v: Tensor, scale: float) -> Tensor:
-    """``softmax(q @ kt * scale) @ v`` over ``(B, H, L, dh)`` heads.
-
-    While a tape is being built this is one op chain over the whole batch,
-    whose softmax output the tape keeps anyway.  Without one, the chain runs
-    over blocks of batch rows holding at most ``T.ATTENTION_BLOCK_SIZE`` score
-    elements (at least one row), so a whole batch's scores, scaled scores and
-    softmax never exist at once.  A block issues the same per-(clip, head)
-    GEMMs and row-wise softmax as the whole batch, so every element keeps its
-    bits.
-    """
-    b, heads, lq, _ = q.shape
-    rows = max(1, T.ATTENTION_BLOCK_SIZE // (heads * lq * kt.shape[-1]))
-    if T.is_grad_enabled() or rows >= b:
-        return T.softmax((q @ kt) * scale, axis=-1) @ v
-    blocks = (slice(start, start + rows) for start in range(0, b, rows))
-    return Tensor(np.concatenate([
-        (T.softmax((Tensor(q.data[r]) @ Tensor(kt.data[r])) * scale, axis=-1) @ Tensor(v.data[r])).data
-        for r in blocks
-    ]))
-
-
 class PooledAttention(Module):
     """Multi-head attention with convolutional pooling of queries, keys, values.
 
@@ -179,7 +159,7 @@ class PooledAttention(Module):
         q, q_grid = _pool_tokens(_split_heads(self.q(x), self.heads), grid, self.pool_q)
         k, _ = _pool_tokens(_split_heads(self.k(x), self.heads), grid, self.pool_k)
         v, _ = _pool_tokens(_split_heads(self.v(x), self.heads), grid, self.pool_v)
-        mixed = _attend(q, k.transpose(0, 1, 3, 2), v, self.scale) + q  # pooled-query shortcut
+        mixed = T.attention(q, k, v, self.scale) + q  # pooled-query shortcut
         return self.out(_merge_heads(mixed)), q_grid
 
     def pool_residual(self, x: Tensor, grid: Grid) -> Tensor:

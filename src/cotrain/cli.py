@@ -226,15 +226,17 @@ def cmd_ablate(args) -> int:
     suite = cfg.suite()
     # Every run's state is built before the run directory is made, so a setting
     # no mode can train with is refused before anything is written or trained.
-    states = [cfg.train_state(suite, mode=mode, seed=seed) for mode in MODES for seed in seeds]
+    # Each run's config sets its mode and seed; its checkpoints carry its hash.
+    runs = [(run_cfg, run_cfg.train_state(suite)) for run_cfg in (cfg.for_run(m, s) for m in MODES for s in seeds)]
     out = _prepare_out(args, "ablate")
     write_resolved(cfg, out)
     acc: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    while states:
-        state = states.pop(0)  # dropped once its run is written
+    while runs:
+        run_cfg, state = runs.pop(0)  # dropped once its run is written
         mode, seed = state.config.mode, state.config.seed
         run_dir = out / f"{mode}_seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
+        write_resolved(run_cfg, run_dir)
         results = run(state, run_dir, **settings)
         for spec in suite.specs:
             acc.setdefault((mode, spec.name), []).append((results[spec.id].top1, results[spec.id].top5))

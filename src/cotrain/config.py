@@ -224,21 +224,24 @@ class RunConfig:
             )
         return {"eval_every": eval_every, "eval_batch": eval_batch, "checkpoint_every": checkpoint_every}
 
-    def train_state(
-        self, suite: Optional[SyntheticSuite] = None, mode: Optional[str] = None, seed: Optional[int] = None
-    ) -> TrainState:
+    def train_state(self, suite: Optional[SyntheticSuite] = None) -> TrainState:
         """A fresh state for this config, its checkpoints tagged with :meth:`hash`.
 
-        ``mode`` and ``seed`` are as in :meth:`train_config`; ``suite`` is a new
-        :meth:`suite` unless runs share one.
+        ``suite`` is a new :meth:`suite` unless runs share one.
         """
         return TrainState.create(
             self.backbone_config(),
             self.suite() if suite is None else suite,
-            self.train_config(mode=mode, seed=seed),
+            self.train_config(),
             self.loss_config(),
             config_hash=self.hash(),
         )
+
+    def for_run(self, mode: str, seed: int) -> "RunConfig":
+        """A copy with ``train.mode`` and ``train.seed`` set: the config of one run of an ablation."""
+        values = {section: dict(keys) for section, keys in self.values.items()}
+        values["train"].update(mode=mode, seed=seed)
+        return RunConfig(values)
 
     def suite(self) -> SyntheticSuite:
         v = self.values["datasets"]

@@ -12,9 +12,10 @@ float64 throughout.
 What a node costs.  Besides its numpy calls, every node pays a fixed Python
 cost: the op's wrapper, the output tensor and its node, and its turn in the
 topological sort and the sweep.  The benchmark's small workloads are
-dispatch-bound (299 nodes a step on default_full, about 480 on
-many_heads_full, most on arrays of a few thousand elements), so that cost is
-kept low.  Op outputs are built
+dispatch-bound (283 nodes a step on default_full, 472 on many_heads_full,
+most on arrays of a few thousand elements), so that cost is kept low, and
+each attention layer's scores, scale, softmax and value mix are one node
+(``attention``) where the chain of ops had made five.  Op outputs are built
 without ``Tensor.__init__``'s coercion; the sort marks nodes with a per-sweep
 number instead of keying a dict by ``id()`` and never visits leaves;
 reductions call ``np.add.reduce`` and ``np.maximum.reduce`` rather than the
@@ -29,10 +30,15 @@ How long a node lives.  Each taped op output gets a small graph node
 and the sweep's marks.  Consumers reference that node, never the output
 tensor, and each rule captures only the arrays it reads: shapes alone for add,
 sub, reshape, transpose, sum and mean; for mul, div and matmul the other
-operand only when that side needs a gradient; softmax its output.  An op
+operand only when that side needs a gradient; softmax its output; attention
+its probabilities, and q, k and v where a needed gradient reads them.  An op
 output's array therefore lives only while the caller holds its tensor or a
-rule saved it, so the pre-bias matmul outputs and the raw and scaled attention
-scores go as soon as the forward pass moves past them.  The sweep pops its
+rule saved it, so the pre-bias matmul outputs go as soon as the forward pass
+moves past them.  Attention's scores are never a separate array: it scales
+and normalises them in place, in the buffer its rule keeps as the
+probabilities, where the chain of ops had made the raw scores, the scaled
+scores and the probabilities as three arrays of the full score size (up to
+8 MB each a block on wide_clip_vanilla).  The sweep pops its
 order as it runs and drops each node's rule and parents once the rule has run,
 so a node the caller does not hold is freed right after its rule, with the
 arrays its rule captured.  A tensor the caller keeps (the loss, a parameter, an
@@ -60,6 +66,18 @@ the trained bits move:
   the same post-order and adds each parent's gradients in that order, which
   decides the bits of a tensor with several consumers.
 
+``attention`` replaced the chain ``softmax((q @ k^T) * scale) @ v`` under
+these four: it makes the chain's numpy and BLAS calls on the same memory,
+except that the scale and every softmax pass run in place on the scores
+(``*=``, ``-=``, ``exp(out=)``, ``/=``, which keep the scores' layout), and
+the row max is read at the row's ``argmax``, the value ``np.maximum.reduce``
+gives for every input (see ``_row_max``).  Its rule casts and returns each
+gradient as the chain's nodes did, k's as the transposed view the chain's
+``transpose`` returned, and its parents ``(q, k, v)`` keep the sweep's
+post-order, so q still takes the query shortcut's gradient first.  The
+tracer does not wrap it: ``perfbench`` counts no softmax and two matmuls
+fewer per attention layer.  It counts the chain's flops.
+
 The pool.  Work spreads across a thread pool with one worker per CPU in the
 process's affinity mask, the calling thread included, and at most
 ``MAX_WORKERS``: the split size was measured on 2 CPUs only, and how the pool
@@ -70,7 +88,7 @@ piece until none is left, and an error raised in any piece is re-raised in
 the caller.
 
 * Row blocks of one op.  The heavy kernels (gelu, softmax and log_softmax,
-  layer_norm, stacked matmul, elementwise arithmetic and gradient sums,
+  attention's in-place scale and softmax, layer_norm, stacked matmul, elementwise arithmetic and gradient sums,
   conv3d's im2col/col2im copies) split when their largest array holds at
   least ``SPLIT_SIZE`` elements: the leading-axis rows are cut into one
   contiguous block per worker.  Smaller ops run their kernel once over the
@@ -112,6 +130,7 @@ Two measured settings come with whole items, on that VM (Linux 6.18):
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import queue
 import threading
@@ -191,10 +210,11 @@ class count_ops:
 SPLIT_SIZE = 1 << 18
 
 # Elements of attention scores that evaluation holds at a time.  Without a tape,
-# ``backbone.PooledAttention`` computes scores, softmax and their product with
-# the values over blocks of this many score elements' worth of batch rows, so a
-# whole batch's scores never exist at once.  Each block issues the per-(clip,
-# head) GEMMs the whole batch would, so the logits keep their bits.  Measured
+# ``attention`` computes scores, softmax and their product with the values
+# over blocks of this many score elements' worth of batch rows, each block's
+# product written into the output, so a whole batch's scores never exist at
+# once.  Each block issues the per-(clip, head) GEMMs the whole batch would, so
+# the logits keep their bits.  Measured
 # on a 2-core Xeon VM: on the benchmark's wide_clip_vanilla (64-clip batches
 # of (2, 256, 256) scores, so 16-row blocks), one evaluation's traced numpy
 # peak fell from 119-152 to 61-69 MB, and evaluation was no slower.
@@ -427,15 +447,16 @@ def _c_ordered_batch(arr: np.ndarray) -> bool:
     return all(s0 >= s1 for s0, s1 in zip(strides, strides[1:]))
 
 
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.matmul(x, y)``, one call per block of leading batch rows when large.
+def _matmul(x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.matmul(x, y, out)``, one call per block of leading batch rows when large.
 
     numpy runs a stacked product as one GEMM per matrix, so a block of batch
     rows issues exactly the GEMMs the whole call would.  A 2-D product stays
     one call.  The output may hold more elements than either operand
     (``q @ k^T``); the size test bounds it from below without building its
     shape, as the test runs for every product.  Below ``SPLIT_SIZE`` the call
-    is ``np.matmul(x, y)`` itself, as in :func:`_binary`.
+    is ``np.matmul(x, y, out)`` itself, as in :func:`_binary`.  A given
+    ``out`` must be C-contiguous, of the product's shape and dtype.
     """
     if x.ndim > 2 or y.ndim > 2:
         m, n = x.shape[-2], y.shape[-1]
@@ -446,11 +467,14 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             sx = x.ndim == len(shape) and x.shape[0] == rows
             sy = y.ndim == len(shape) and y.shape[0] == rows
 
-            def chunk(r, out=None):
-                return np.matmul(x[r] if sx else x, y[r] if sy else y, out)
+            def chunk(r, o=None):
+                return np.matmul(x[r] if sx else x, y[r] if sy else y, o)
 
-            return _split(chunk, rows, [(shape, _result_dtype(x, y))])
-    return np.matmul(x, y)
+            if out is None:
+                return _split(chunk, rows, [(shape, _result_dtype(x, y))])
+            _split(lambda r: chunk(r, out[r]), rows, ())
+            return out
+    return np.matmul(x, y, out)
 
 
 def _contiguous(src: np.ndarray) -> np.ndarray:
@@ -1072,25 +1096,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- neural-net primitives ----------------------------------------------------
 
 
+def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.maximum.reduce(x, axis, keepdims=True)``'s values, read at the rows' ``argmax``.
+
+    The value is the reduce's for every input, NaN (the first in a row) and
+    +-inf included; only the sign of a zero maximum can differ, which a
+    softmax erases (``exp(+0) == exp(-0) == 1``).  On a 2-core Xeon VM (numpy
+    2.4.6), over the 64-wide rows of a float32 ``(16, 2, 64, 64)`` array,
+    ``np.maximum.reduce`` took 263 us, this 99 us and ``np.add.reduce`` 71 us.
+    """
+    return np.take_along_axis(x, np.argmax(x, axis, keepdims=True), axis)
+
+
+def _softmax_rows(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis`` into ``out``, which may be ``x`` itself; returns it."""
+    out = np.subtract(x, _row_max(x, axis), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis, None, None, True)
+    return out
+
+
+def _softmax_grad_rows(g: np.ndarray, p: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The input gradient of a softmax with output ``p`` and upstream ``g``, into ``out`` (may be ``g``)."""
+    inner = np.add.reduce(g * p, axis, None, None, True)
+    out = np.subtract(g, inner, out=out)
+    out *= p
+    return out
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
 
     def forward(r, out=None):
-        xr = x[r]
-        out = np.subtract(xr, np.maximum.reduce(xr, axis, None, None, True), out=out)
-        np.exp(out, out=out)
-        out /= np.add.reduce(out, axis, None, None, True)
-        return out
+        return _softmax_rows(x[r], axis, out)
 
     data = _rowwise(forward, [(x.shape, x.dtype)], x, axis=axis)
 
     def backward(g):
         def chunk(r, ga=None):
-            gr, d = g[r], data[r]
-            inner = np.add.reduce(gr * d, axis, None, None, True)
-            ga = np.subtract(gr, inner, out=ga)
-            ga *= d
-            return ga
+            return _softmax_grad_rows(g[r], data[r], axis, ga)
 
         return (_rowwise(chunk, [(data.shape, _result_dtype(g, data))], g, data, axis=axis),)
 
@@ -1116,6 +1160,98 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (_rowwise(chunk, [(data.shape, _result_dtype(g, data))], g, data, axis=axis),)
 
     return _from_op(data, (a,), backward, "log_softmax", 5 * x.size)
+
+
+def _attention_probs(x: np.ndarray, kt: np.ndarray, scale: float) -> np.ndarray:
+    """``softmax((x @ kt) * scale)`` along the last axis, scaled and normalized in the scores' buffer.
+
+    The scale is cast to the scores' dtype first, as ``mul`` casts a Python
+    scalar.  Scores of at least ``SPLIT_SIZE`` elements split by leading rows
+    across the pool.
+    """
+    s = _matmul(x, kt)
+    scale = s.dtype.type(scale)
+
+    def chunk(r):
+        sr = s[r]
+        sr *= scale
+        _softmax_rows(sr, -1, sr)
+
+    _rowwise(chunk, (), s, axis=-1)
+    return s
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """``softmax((q @ k^T) * scale) @ v`` as one op.
+
+    ``q`` is ``(..., Lq, d)``, ``k`` ``(..., Lk, d)`` and ``v`` ``(..., Lk, dv)``,
+    with the same leading axes.  The op makes the numpy and BLAS calls
+    of that chain of ops, with the scale and every softmax pass in place on the
+    scores, so every bit of the output and of the gradients is the chain's
+    (see the module docstring).  Taped, its rule keeps ``q``, ``k``, ``v`` and
+    the probabilities, and returns ``k``'s gradient as the transposed view the
+    chain's ``transpose`` returned.  Without a tape, the leading-axis rows run
+    in blocks of at most ``ATTENTION_BLOCK_SIZE`` score elements (at least one
+    row), each block's product with ``v`` written straight into the output, so
+    a whole batch's scores never exist at once.  Its flops are the chain's.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if not (
+        qd.ndim == kd.ndim == vd.ndim >= 2
+        and qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]
+        and qd.shape[-1] == kd.shape[-1]
+        and kd.shape[-2] == vd.shape[-2]
+    ):
+        raise ShapeError(
+            f"attention needs q (..., Lq, d), k (..., Lk, d) and v (..., Lk, dv), "
+            f"got {qd.shape}, {kd.shape}, {vd.shape}"
+        )
+    kt = kd.swapaxes(-1, -2)
+    scores = math.prod(qd.shape[:-1]) * kd.shape[-2]
+    flops = 2 * scores * (qd.shape[-1] + vd.shape[-1]) + 6 * scores
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+    batch = qd.shape[0] if qd.ndim > 2 else 1
+    rows = max(1, ATTENTION_BLOCK_SIZE // max(1, scores // max(1, batch)))
+    if not (_grad_enabled and (need_q or need_k or need_v)) and rows < batch:
+        data = np.empty(qd.shape[:-1] + vd.shape[-1:], dtype=np.result_type(qd, kd, vd))
+        for start in range(0, batch, rows):
+            r = slice(start, start + rows)
+            _matmul(_attention_probs(qd[r], kt[r], scale), vd[r], data[r])
+        return _from_op(data, (q, k, v), None, "attention", flops)
+    p = _attention_probs(qd, kt, scale)
+    data = _matmul(p, vd)
+    # q's gradient reads k, k's reads q, both read v; v's reads only p.
+    k_for_q = kd if need_q else None
+    q_for_k = qd if need_k else None
+    v_for_s = vd if need_q or need_k else None
+    k_dtype = kd.dtype
+
+    def backward(g):
+        gq = gk = gv = None
+        if v_for_s is not None:
+            gs = _matmul(g, v_for_s.swapaxes(-1, -2))
+            if gs.dtype != p.dtype:
+                gs = gs.astype(p.dtype)  # the cast the sweep made into the chain's softmax node
+            s_scale = p.dtype.type(scale)
+
+            def chunk(r):
+                gr = gs[r]
+                _softmax_grad_rows(gr, p[r], -1, gr)
+                gr *= s_scale
+
+            _rowwise(chunk, (), gs, p, axis=-1)
+            if need_q:
+                gq = _matmul(gs, k_for_q)
+            if need_k:
+                gk = _matmul(q_for_k.swapaxes(-1, -2), gs)
+                if gk.dtype != k_dtype:
+                    gk = gk.astype(k_dtype)  # the cast into the chain's transpose node
+                gk = gk.swapaxes(-1, -2)
+        if need_v:
+            gv = _matmul(p.swapaxes(-1, -2), g)
+        return gq, gk, gv
+
+    return _from_op(data, (q, k, v), backward, "attention", flops)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -3,8 +3,9 @@
 Each check builds a small float64 problem, compares reverse-mode gradients
 against central differences, and reports the max relative error.  The CLI's
 ``gradcheck`` subcommand and the acceptance tests both run this table; simple
-ops must come in under 1e-5 (1e-6 for matmul), loss components under 1e-5,
-and deep compositions (attention, block, whole model) under 1e-4.
+ops (the fused attention op among them) must come in under 1e-5 (1e-6 for
+matmul), loss components under 1e-5, and deep compositions (pooled attention,
+block, whole model) under 1e-4.
 """
 from __future__ import annotations
 
@@ -77,6 +78,22 @@ def run_all() -> list[CheckResult]:
         finite_diff_check(lambda t: (T.log_softmax(t, axis=-1) * mask).sum(), x),
         OP_TOL,
     )
+    # q, k and v are slices of one leaf, so the row checks all three gradients;
+    # the spread of 1.5 puts the softmax in its curved region.
+    arng = Rng(19, 0)
+    qkv_shapes = ((2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 2))
+    ends = np.cumsum([int(np.prod(shape)) for shape in qkv_shapes])
+    qkv = _f64(arng, (int(ends[-1]),), scale=1.5)
+    attn_mask = _f64(arng, (2, 2, 4, 2))
+
+    def attend(t: Tensor) -> Tensor:
+        q, k, v = (
+            T.gather_rows(t, np.arange(end - int(np.prod(shape)), end)).reshape(shape)
+            for shape, end in zip(qkv_shapes, ends)
+        )
+        return (T.attention(q, k, v, 1.0 / np.sqrt(3.0)) * attn_mask).sum()
+
+    add("attention", finite_diff_check(attend, qkv), OP_TOL)
     add("reduce_mean", finite_diff_check(lambda t: (t.mean(axis=(0, 2)) ** 2).sum(), x), OP_TOL)
     add(
         "gather_rows",

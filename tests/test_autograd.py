@@ -297,6 +297,29 @@ def test_the_tape_keeps_only_the_arrays_its_rules_read(workers, use_pool):
         assert got.grad.tobytes() == want.grad.tobytes()
 
 
+@pytest.mark.parametrize("needs", ["qkv", "q", "k", "v"])
+def test_the_attention_rule_keeps_only_q_k_v_and_the_probabilities(needs):
+    """The fused node's rule holds the operands a needed gradient reads and the softmax output, no scores copy.
+
+    q's gradient reads k and v, k's reads q and v, and v's reads only the
+    probabilities, which every gradient reads.
+    """
+    rng = np.random.default_rng(6)
+    q, k, v = (
+        Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=name in needs)
+        for name, shape in zip("qkv", [(2, 2, 6, 4), (2, 2, 5, 4), (2, 2, 5, 3)])
+    )
+    out = T.attention(q, k, v, 0.5)
+    kept = [c.cell_contents for c in out._node.rule.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    operands = {"q": q.data, "k": k.data, "v": v.data}
+    reads = {"q": "kv", "k": "qv", "v": ""}
+    wanted = {name for need in needs for name in reads[need]}
+    assert sorted(name for name, arr in operands.items() if any(a is arr for a in kept)) == sorted(wanted)
+    (probs,) = [a for a in kept if not any(a is arr for arr in operands.values())]
+    chain = T.softmax((Tensor(q.data) @ Tensor(k.data).transpose(0, 1, 3, 2)) * 0.5, axis=-1)
+    assert probs.tobytes() == chain.data.tobytes()
+
+
 def _sweep_peak_bytes(links: int) -> int:
     """How far the sweep's allocations peak above those live when it starts, on a
     chain of ``links`` ``gelu(y * 0.5)`` nodes over a 1 MB float32 leaf of

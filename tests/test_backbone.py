@@ -156,8 +156,8 @@ class TestPooledAttention:
             lq = 32 // (q_stride[0] * q_stride[1] * q_stride[2])
             monkeypatch.setattr(T, "ATTENTION_BLOCK_SIZE", block_rows * heads * lq * 32)
         rows = []
-        softmax = T.softmax
-        monkeypatch.setattr(T, "softmax", lambda a, axis=-1: rows.append(a.shape[0]) or softmax(a, axis))
+        probs = T._attention_probs  # ``T.attention`` computes each block's probabilities through it
+        monkeypatch.setattr(T, "_attention_probs", lambda x, kt, scale: rows.append(x.shape[0]) or probs(x, kt, scale))
         with no_grad():
             blocked, blocked_grid = attn(Tensor(x), grid)
         assert len(rows) == blocks and sum(rows) == batch

@@ -530,6 +530,32 @@ class TestCliAblate:
         assert (out / "full_seed1" / "report.csv").exists()
         assert (out / "vanilla_seed1" / "metrics.ndjson").exists()
 
+    def test_each_run_writes_its_config_and_its_checkpoints_load_without_overrides(self, tiny_ini, tmp_path, capsys):
+        """``eval`` and ``inspect-projections`` of an ablation's checkpoint read that run's own config.
+
+        With only the ablation's resolved_config.cfg, they fell back to the
+        defaults and exited 1 with a list of missing parameters.
+        """
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", tiny_ini, "--out", str(out), "--seeds", "1"]) == 0
+        base = RunConfig.load(str(out / "resolved_config.cfg"))
+        for mode in trainer.MODES:
+            run_dir = out / f"{mode}_seed1"
+            cfg = RunConfig.load(str(run_dir / "resolved_config.cfg"))
+            assert cfg.get("train", "mode") == mode and cfg.get("train", "seed") == 1
+            assert cfg.render() == base.for_run(mode, 1).render()
+            assert json.loads((run_dir / "checkpoint_6.mttn.json").read_text())["config_hash"] == cfg.hash()
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "vanilla_seed1" / "checkpoint_6.mttn")]) == 0
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["aster", "briar"]
+        inspect = ["inspect-projections", "--checkpoint"]
+        assert main([*inspect, str(out / "wo_informative_seed1" / "checkpoint_6.mttn")]) == 0
+        assert "projection aster (0) -> briar (1)" in capsys.readouterr().out
+        # vanilla trains no bank: refused for what the run is, not for a config it is not
+        assert main([*inspect, str(out / "vanilla_seed1" / "checkpoint_6.mttn")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: this mode trains no projection bank; nothing to inspect"]
+
     def test_ablate_refuses_one_dataset_at_the_projection_branch_mode(self, tiny_ini, tmp_path, capsys):
         """Refused before any mode trains: this had trained full, vanilla and wo_informative first."""
         out = tmp_path / "abl"
@@ -570,9 +596,9 @@ class TestRunBytes:
     """What a run writes, byte for byte; only the manifests' config hash may differ."""
 
     @staticmethod
-    def _check(out, digests, manifests):
+    def _check(out, digests, manifests, configs=("resolved_config.cfg",)):
         files = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
-        assert files == sorted([*digests, *manifests, "resolved_config.cfg"])
+        assert files == sorted([*digests, *manifests, *configs])
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
         for name, step in manifests.items():
             manifest = json.loads((out / name).read_text())
@@ -589,7 +615,8 @@ class TestRunBytes:
         out = tmp_path / "abl"
         assert main(["ablate", "--config", tiny_ini, "--out", str(out), "--seeds", "1"]) == 0
         runs = {name.split("/")[0] for name in ABLATE_DIGESTS if "/" in name}
-        self._check(out, ABLATE_DIGESTS, {f"{run}/checkpoint_6.mttn.json": 6 for run in runs})
+        configs = ["resolved_config.cfg", *(f"{run}/resolved_config.cfg" for run in runs)]
+        self._check(out, ABLATE_DIGESTS, {f"{run}/checkpoint_6.mttn.json": 6 for run in runs}, configs)
 
 
 class TestCliDumpDataset:

@@ -169,6 +169,43 @@ class TestSoftmax:
         x = t(np.linspace(-3, 3, 12).reshape(3, 4))
         npt.assert_allclose(T.softmax(x, axis=-1).data.sum(axis=-1), np.ones(3))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_kernel_is_the_maximum_reduce_formula_bit_for_bit(self, dtype):
+        """The kernel's row max is read at the argmax; every output bit is the ``np.maximum.reduce`` formula's.
+
+        Rows with ties, zeros of both signs at the max, +-inf and NaN; then
+        integer-valued rows full of ties and signed zeros, along each axis.
+        """
+        inf, nan = np.inf, np.nan
+        rows = np.array(
+            [
+                [1.0, 3.0, 3.0, 2.0],
+                [-0.0, 0.0, -1.0, -2.0],
+                [0.0, -0.0, -1.0, -2.0],
+                [-0.0, -0.0, -0.0, -0.0],
+                [-inf, 1.0, 2.0, 2.0],
+                [inf, 1.0, 2.0, 3.0],
+                [inf, inf, 0.0, 1.0],
+                [-inf, -inf, -inf, -inf],
+                [nan, 1.0, 2.0, 3.0],
+                [1.0, nan, inf, -inf],
+            ],
+            dtype=dtype,
+        )
+        rng = np.random.default_rng(11)
+        ties = rng.integers(-2, 2, (6, 5, 7)).astype(dtype)
+        ties[rng.random(ties.shape) < 0.3] = -0.0
+        for x, axis in [(rows, -1), (ties, -1), (ties, 1), (ties, 0)]:
+            with np.errstate(invalid="ignore"):
+                e = np.exp(x - np.maximum.reduce(x, axis, keepdims=True))
+                want = e / e.sum(axis=axis, keepdims=True)
+                got = T._softmax_rows(x, axis)
+                in_place = x.copy()
+                T._softmax_rows(in_place, axis, in_place)
+            assert got.dtype == in_place.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+            assert in_place.tobytes() == want.tobytes()
+
 
 class TestLayerNorm:
     def test_constant_input_normalizes_to_zero(self):
@@ -197,6 +234,21 @@ class TestCountOps:
             a @ b
         assert counter.ops == {"matmul": 1}
         assert counter.flops == 2 * 4 * 6 * 5
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_attention_counts_the_flops_of_its_chain(self, grad, monkeypatch):
+        """One op with the chain's ``4 S dh + 6 S`` flops, taped or in blocks without a tape."""
+        rng = np.random.default_rng(2)
+        shapes = [(3, 2, 6, 4), (3, 2, 5, 4), (3, 2, 5, 4)]
+        q, k, v = (Tensor(rng.standard_normal(shape), requires_grad=grad) for shape in shapes)
+        with T.count_ops() as chain:
+            T.softmax((q @ k.transpose(0, 1, 3, 2)) * 0.5, axis=-1) @ v
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_SIZE", 2 * 6 * 5)  # one batch row a block without a tape
+        with T.count_ops() as fused:
+            T.attention(q, k, v, 0.5)
+        scores = 3 * 2 * 6 * 5
+        assert fused.ops == {"attention": 1}
+        assert fused.flops == chain.flops == 4 * scores * 4 + 6 * scores
 
     def test_counter_nests_and_restores(self):
         x = t([1.0])
@@ -321,6 +373,7 @@ def _split_cases(lead):
         "layer_norm": (T.layer_norm, [(lead, m, 64), (64,), (64,)]),
         "matmul_weight": (T.matmul, [(lead, m, 64), (64, 32)]),
         "matmul_batched": (T.matmul, [(lead, 2, s, 16), (lead, 2, 16, s)]),
+        "attention": (lambda q, k, v: T.attention(q, k, v, 0.25), [(lead, 2, s, 16)] * 3),
         "matmul_broadcast_batch": (T.matmul, [(1, m, 64), (lead, 64, 32)]),
         "add_bias": (T.add, [(lead, m, 64), (64,)]),
         "sub_broadcast_lead": (T.sub, [(lead, m, 64), (1, m, 64)]),
@@ -377,6 +430,50 @@ def test_split_ops_are_bitwise_equal_to_unsplit(case, lead, dtype, workers, monk
     for got, want in zip(split, whole):
         assert got.dtype == want.dtype and got.strides == want.strides
         assert np.array_equal(got, want)
+
+
+def _attention_and_grads(attend, arrays, weight):
+    """Output and leaf gradients of ``attend(q, k, v) + q`` (the model's query shortcut) under ``weight``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = attend(*leaves)
+    (((out + leaves[0]) * Tensor(weight.astype(out.dtype))).sum()).backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dtype", ["float32", "float64", "mixed"])
+def test_attention_is_bitwise_the_chain_it_replaces(dtype, workers, use_pool):
+    """``attention`` against ``softmax((q @ k^T) * scale) @ v``: same bits, dtypes and layouts.
+
+    The scores hold more than SPLIT_SIZE elements, so on two workers both
+    split; ``mixed`` has a float32 query and float64 keys and values.
+    """
+    use_pool(workers)
+    s = int(np.ceil(np.sqrt(T.SPLIT_SIZE / 6)))
+    rng = np.random.default_rng(8)
+    dtypes = [np.float32, np.float64, np.float64] if dtype == "mixed" else [dtype] * 3
+    arrays = [(2.0 * rng.standard_normal((3, 2, s, 16))).astype(dt) for dt in dtypes]
+    scale = 1.0 / np.sqrt(16)  # a numpy float64, as ``PooledAttention.scale`` is
+    weight = np.cos(np.arange(3 * 2 * s * 16, dtype=np.float64)).reshape(3, 2, s, 16)
+    fused = _attention_and_grads(lambda q, k, v: T.attention(q, k, v, scale), arrays, weight)
+    chain = _attention_and_grads(
+        lambda q, k, v: T.softmax((q @ k.transpose(0, 1, 3, 2)) * scale, axis=-1) @ v, arrays, weight
+    )
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+def test_attention_refuses_operands_that_do_not_line_up():
+    q, k = t(np.zeros((2, 3, 4))), t(np.zeros((2, 5, 4)))
+    v = t(np.zeros((2, 5, 4)))
+    for bad in [
+        (q, k, t(np.zeros((2, 4, 4)))),  # k and v lengths differ
+        (q, t(np.zeros((2, 5, 3))), v),  # q and k widths differ
+        (q, k, t(np.zeros((1, 5, 4)))),  # leading axes differ
+    ]:
+        with pytest.raises(ShapeError, match="attention needs"):
+            T.attention(*bad, 0.5)
 
 
 def test_layer_norm_input_gradient_takes_the_dtype_of_its_expression(use_pool):
