@@ -211,11 +211,10 @@ SPLIT_SIZE = 1 << 18
 
 # Elements of attention scores that evaluation holds at a time.  Without a tape,
 # ``attention`` computes scores, softmax and their product with the values
-# over blocks of this many score elements' worth of batch rows, each block's
-# product written into the output, so a whole batch's scores never exist at
-# once.  Each block issues the per-(clip, head) GEMMs the whole batch would, so
-# the logits keep their bits.  Measured
-# on a 2-core Xeon VM: on the benchmark's wide_clip_vanilla (64-clip batches
+# over blocks of this many score elements' worth of batch rows, so a whole
+# batch's scores never exist at once.  Each block issues the per-(clip, head)
+# GEMMs the whole batch would, so the logits keep their bits.  Measured on a
+# 2-core Xeon VM: on the benchmark's wide_clip_vanilla (64-clip batches
 # of (2, 256, 256) scores, so 16-row blocks), one evaluation's traced numpy
 # peak fell from 119-152 to 61-69 MB, and evaluation was no slower.
 ATTENTION_BLOCK_SIZE = 1 << 21
@@ -447,16 +446,15 @@ def _c_ordered_batch(arr: np.ndarray) -> bool:
     return all(s0 >= s1 for s0, s1 in zip(strides, strides[1:]))
 
 
-def _matmul(x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``np.matmul(x, y, out)``, one call per block of leading batch rows when large.
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.matmul(x, y)``, one call per block of leading batch rows when large.
 
     numpy runs a stacked product as one GEMM per matrix, so a block of batch
     rows issues exactly the GEMMs the whole call would.  A 2-D product stays
     one call.  The output may hold more elements than either operand
     (``q @ k^T``); the size test bounds it from below without building its
     shape, as the test runs for every product.  Below ``SPLIT_SIZE`` the call
-    is ``np.matmul(x, y, out)`` itself, as in :func:`_binary`.  A given
-    ``out`` must be C-contiguous, of the product's shape and dtype.
+    is ``np.matmul(x, y)`` itself, as in :func:`_binary`.
     """
     if x.ndim > 2 or y.ndim > 2:
         m, n = x.shape[-2], y.shape[-1]
@@ -467,14 +465,11 @@ def _matmul(x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None) -> n
             sx = x.ndim == len(shape) and x.shape[0] == rows
             sy = y.ndim == len(shape) and y.shape[0] == rows
 
-            def chunk(r, o=None):
-                return np.matmul(x[r] if sx else x, y[r] if sy else y, o)
+            def chunk(r, out=None):
+                return np.matmul(x[r] if sx else x, y[r] if sy else y, out)
 
-            if out is None:
-                return _split(chunk, rows, [(shape, _result_dtype(x, y))])
-            _split(lambda r: chunk(r, out[r]), rows, ())
-            return out
-    return np.matmul(x, y, out)
+            return _split(chunk, rows, [(shape, _result_dtype(x, y))])
+    return np.matmul(x, y)
 
 
 def _contiguous(src: np.ndarray) -> np.ndarray:
@@ -1192,8 +1187,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     the probabilities, and returns ``k``'s gradient as the transposed view the
     chain's ``transpose`` returned.  Without a tape, the leading-axis rows run
     in blocks of at most ``ATTENTION_BLOCK_SIZE`` score elements (at least one
-    row), each block's product with ``v`` written straight into the output, so
-    a whole batch's scores never exist at once.  Its flops are the chain's.
+    row), so a whole batch's scores never exist at once.  Its flops are the chain's.
     """
     qd, kd, vd = q.data, k.data, v.data
     if not (
@@ -1213,10 +1207,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     batch = qd.shape[0] if qd.ndim > 2 else 1
     rows = max(1, ATTENTION_BLOCK_SIZE // max(1, scores // max(1, batch)))
     if not (_grad_enabled and (need_q or need_k or need_v)) and rows < batch:
-        data = np.empty(qd.shape[:-1] + vd.shape[-1:], dtype=np.result_type(qd, kd, vd))
-        for start in range(0, batch, rows):
-            r = slice(start, start + rows)
-            _matmul(_attention_probs(qd[r], kt[r], scale), vd[r], data[r])
+        blocks = (slice(start, start + rows) for start in range(0, batch, rows))
+        data = np.concatenate([_matmul(_attention_probs(qd[r], kt[r], scale), vd[r]) for r in blocks])
         return _from_op(data, (q, k, v), None, "attention", flops)
     p = _attention_probs(qd, kt, scale)
     data = _matmul(p, vd)
