@@ -8,11 +8,12 @@ threshold), 3 numeric failure (non-finite loss or gradient norm during training)
 Each command resolves and checks its whole config, and builds every state it
 will train, before it writes anything, so a refused command exits 1 and
 leaves no run directory.  The run itself (steps, evaluations, checkpoints) is
-:func:`cotrain.trainer.run`; ``train`` and ``ablate`` add the argument
-handling and the report.  ``eval`` and ``inspect-projections`` take the
-config of the checkpoint's run: ``--config`` if given, else the
-``resolved_config.cfg`` the run wrote beside it, else the defaults; then
-``--set`` and ``--seed``.
+:func:`cotrain.trainer.run`, and ``ablate``'s runs go through
+:func:`cotrain.trainer.run_matrix`, one forked process per CPU; ``train`` and
+``ablate`` add the argument handling and the report.  ``eval`` and
+``inspect-projections`` take the config of the checkpoint's run: ``--config``
+if given, else the ``resolved_config.cfg`` the run wrote beside it, else the
+defaults; then ``--set`` and ``--seed``.
 
 Run directories are append-only: a second run aimed at a non-empty directory
 is refused unless ``--force`` is given, which clears it first.
@@ -28,14 +29,12 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .config import RunConfig, write_resolved
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .libc import mallopt
-from .losses import top_projection_pairs
+from .losses import alias_agreement, top_projection_pairs
 from .tensor_io import save_arrays
-from .trainer import MODES, EvalResult, TrainState, evaluate, load_checkpoint, run
+from .trainer import MODES, EvalResult, TrainState, evaluate, load_checkpoint, run, run_matrix
 from .verify import run_all
 
 EXIT_OK = 0
@@ -147,7 +146,7 @@ def _report_rows(state: TrainState, results: dict[int, EvalResult]) -> list[tupl
             spec.name,
             _pct(results[spec.id].top1),
             _pct(results[spec.id].top5),
-            state.step,
+            state.config.steps,
             state.config.seed,
         )
         for spec in state.suite.specs
@@ -227,17 +226,17 @@ def cmd_ablate(args) -> int:
     # Every run's state is built before the run directory is made, so a setting
     # no mode can train with is refused before anything is written or trained.
     # Each run's config sets its mode and seed; its checkpoints carry its hash.
-    runs = [(run_cfg, run_cfg.train_state(suite)) for run_cfg in (cfg.for_run(m, s) for m in MODES for s in seeds)]
+    run_cfgs = [cfg.for_run(m, s) for m in MODES for s in seeds]
+    states = [run_cfg.train_state(suite) for run_cfg in run_cfgs]
     out = _prepare_out(args, "ablate")
     write_resolved(cfg, out)
-    acc: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    while runs:
-        run_cfg, state = runs.pop(0)  # dropped once its run is written
-        mode, seed = state.config.mode, state.config.seed
-        run_dir = out / f"{mode}_seed{seed}"
-        run_dir.mkdir(parents=True, exist_ok=True)
+    runs = [(state, out / f"{state.config.mode}_seed{state.config.seed}") for state in states]
+    for run_cfg, (_, run_dir) in zip(run_cfgs, runs):
+        run_dir.mkdir()
         write_resolved(run_cfg, run_dir)
-        results = run(state, run_dir, **settings)
+    acc: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    for (state, run_dir), results in zip(runs, run_matrix(runs, **settings)):
+        mode, seed = state.config.mode, state.config.seed
         for spec in suite.specs:
             acc.setdefault((mode, spec.name), []).append((results[spec.id].top1, results[spec.id].top5))
         _write_report(run_dir / "report.csv", _report_rows(state, results))
@@ -280,8 +279,6 @@ def cmd_inspect_projections(args) -> int:
     _load_checkpoint(state, args.checkpoint)
 
     top = args.top if args.top is not None else cfg.get("report", "top_pairs")
-    agree_hits = 0
-    agree_total = 0
     for i, k in pairs_to_show:
         spec_i, spec_k = suite.specs[i], suite.specs[k]
         cap = spec_i.num_classes * spec_k.num_classes
@@ -293,12 +290,7 @@ def cmd_inspect_projections(args) -> int:
         print(f"projection {spec_i.name} ({i}) -> {spec_k.name} ({k})")
         for src, dst, weight in rows:
             print(f"  {src:<12} -> {dst:<12}  {weight:+.4f}")
-        mapped = suite.alias_map.mapped_classes(i, k)
-        w = bank.pair(i, k).data
-        for src_class, dst_class in mapped.items():
-            agree_total += 1
-            if int(np.argmax(w[:, src_class])) == dst_class:
-                agree_hits += 1
+    agree_hits, agree_total = alias_agreement(bank, suite.alias_map, pairs_to_show)
     if agree_total:
         rate = agree_hits / agree_total
         print(f"alias agreement: {agree_hits}/{agree_total} = {rate:.3f}")

@@ -195,17 +195,15 @@ class RunConfig:
     def loss_config(self) -> LossConfig:
         return LossConfig(**self.values["loss"])
 
-    def train_config(self, mode: Optional[str] = None, seed: Optional[int] = None) -> TrainConfig:
+    def train_config(self, seed: Optional[int] = None) -> TrainConfig:
         """The ``train`` section but ``checkpoint_every``, with ``datasets.mixing``.
 
-        ``mode`` and ``seed`` override theirs in the returned config only, so
-        :meth:`hash` does not see them; a run that is to carry its own mode
-        and seed in its config and hash is built from :meth:`for_run`.
+        ``seed`` overrides its value in the returned config only, so
+        :meth:`hash` does not see it; a run that is to carry its own mode and
+        seed in its config and hash is built from :meth:`for_run`.
         """
         settings = {**self.values["train"], "mixing": self.get("datasets", "mixing")}
         del settings["checkpoint_every"]
-        if mode is not None:
-            settings["mode"] = mode
         if seed is not None:
             settings["seed"] = seed
         return TrainConfig(**settings)

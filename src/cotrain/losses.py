@@ -314,3 +314,14 @@ def top_projection_pairs(
         key=lambda rc: (-w[rc[0], rc[1]], rc[0], rc[1]),
     )
     return [(names_i[col], names_k[row], float(w[row, col])) for row, col in entries[: min(n, ck * ci)]]
+
+
+def alias_agreement(bank: ProjectionBank, alias_map, pairs) -> tuple[int, int]:
+    """``(hits, total)`` over the alias-mapped classes of each ``(i, k)`` in ``pairs``; a hit's column argmax is its alias."""
+    hits = total = 0
+    for i, k in pairs:
+        weights = bank.pair(i, k).data
+        for src, dst in alias_map.mapped_classes(i, k).items():
+            total += 1
+            hits += int(np.argmax(weights[:, src]) == dst)
+    return hits, total

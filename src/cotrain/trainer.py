@@ -10,7 +10,8 @@ sum of cross-entropies.
 
 :func:`run` drives one training run: the steps, the evaluations and the
 checkpoints, written into a run directory.  Every command that trains goes
-through it.
+through it, and :func:`run_matrix` trains a list of independent runs, such as
+``cotrain ablate``'s and the acceptance gate's, one forked process per CPU.
 
 Every random draw is keyed by ``(seed, stream)`` where the stream encodes its
 role (init vs. the batch of step ``t``), so a checkpoint only needs parameter
@@ -19,6 +20,9 @@ and moment arrays plus the step counter to resume bit-exactly.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -26,6 +30,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import losses as L
+from . import tensor
 from .backbone import Backbone, BackboneConfig
 from .data import MIXING, MixedBatch, SyntheticSuite, sample_mixed_batch
 from .errors import ConfigError, ShapeError
@@ -454,3 +459,39 @@ def run(state: TrainState, out, eval_every: int, eval_batch: int, checkpoint_eve
         results = write_evals(state.step)
     save_checkpoint(state, out / f"checkpoint_{state.step}.mttn")
     return results
+
+
+# The runs and settings of the run_matrix call that forked this worker process.
+_worker_matrix: tuple = ()
+
+
+def _start_worker(runs: list, settings: dict) -> None:
+    global _worker_matrix
+    _worker_matrix = (runs, settings)
+    tensor.MAX_WORKERS = 1  # the worker processes already fill the CPUs
+
+
+def _run_in_worker(index: int) -> dict[int, EvalResult]:
+    runs, settings = _worker_matrix
+    state, out = runs[index]
+    return run(state, out, **settings)
+
+
+def run_matrix(runs, eval_every: int, eval_batch: int, checkpoint_every: int) -> list[dict[int, EvalResult]]:
+    """:func:`run` each ``(state, run_dir)`` of ``runs``; return their final evaluations in order.
+
+    The runs train in one forked process per CPU in the affinity mask, each
+    with a one-thread tensor pool, which changes no bit they write; with one
+    process, or without ``os.fork``, they train here, in order.  A forked run
+    trains its copy of the state, passed by fork and never pickled (a pickled
+    ``p.data`` would no longer view the optimizer's arenas), so the caller's
+    state does not advance.  An error raised in any run is re-raised here.
+    """
+    settings = {"eval_every": eval_every, "eval_batch": eval_batch, "checkpoint_every": checkpoint_every}
+    jobs = min(len(runs), tensor._cpu_count()) if hasattr(os, "fork") else 1
+    if jobs < 2:
+        return [run(state, out, **settings) for state, out in runs]
+    # Under fork the initializer's arguments are inherited, not pickled.
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(jobs, mp_context=context, initializer=_start_worker, initargs=(runs, settings)) as pool:
+        return list(pool.map(_run_in_worker, range(len(runs))))

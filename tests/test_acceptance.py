@@ -4,26 +4,24 @@ One test per release property, numbered c01..c10, so ``pytest -v`` shows a
 single pass/fail row per property.  Each test also prints a one-line verdict
 (run with ``pytest -s`` to see them as they happen).
 
-Properties 5-7 share a training matrix (4 ablation modes x 3 seeds at the
-default full-scale configuration) built once per session; that fixture
-dominates the file's runtime.  It trains the 12 runs in two forked processes
-where two CPUs are free, about six minutes on a 2-core Xeon VM.
+Properties 5-8 share a training matrix (4 ablation modes x 3 seeds at the
+default configuration) built once per session; that fixture dominates the
+file's runtime.  It trains through ``trainer.run_matrix``, as ``cotrain
+ablate`` does, so the 12 runs spread over one forked process per CPU: about
+three and a half minutes on a 2-core Xeon VM.
 """
 
 import math
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import cotrain.losses as L
-import cotrain.tensor as T
 import cotrain.verify as verify
 from cotrain.backbone import BackboneConfig, PooledAttention
 from cotrain.cli import main
+from cotrain.config import RunConfig
 from cotrain.data import generate_synthetic_suite, sample_mixed_batch
 from cotrain.rng import Rng
 from cotrain.tensor import Tensor, count_ops
@@ -32,6 +30,7 @@ from cotrain.trainer import (
     TrainState,
     evaluate,
     load_checkpoint,
+    run_matrix,
     save_checkpoint,
     train_steps,
 )
@@ -184,77 +183,30 @@ def test_c04_attention_matches_naive_reference():
 # -- 5-7: the ablation matrix ----------------------------------------------------
 
 
-def _alias_recovery(bank: L.ProjectionBank, alias_map) -> tuple[int, int]:
-    """Count alias-mapped source classes whose learned column argmax is right."""
-    hits = total = 0
-    for i in range(NUM_DATASETS):
-        for k in range(NUM_DATASETS):
-            if i == k:
-                continue
-            weights = bank.pair(i, k).data
-            for src, dst in alias_map.mapped_classes(i, k).items():
-                total += 1
-                hits += int(np.argmax(weights[:, src]) == dst)
-    return hits, total
-
-
-def _matrix_suite():
-    return generate_synthetic_suite(
-        7,
-        NUM_DATASETS,
-        [CLASSES] * NUM_DATASETS,
-        [200] * NUM_DATASETS,
-        [100] * NUM_DATASETS,
-    )
-
-
-def _train_cell(cell, checkpoint):
-    """Train one ``(mode, seed)`` of the matrix; return its top-1 per dataset and its alias recovery.
-
-    With a ``checkpoint`` path the trained state is also saved there.
-    """
-    mode, seed = cell
-    suite = _matrix_suite()
-    config = TrainConfig(mode=mode, seed=seed)
-    state = TrainState.create(BackboneConfig(), suite, config)
-    train_steps(state, config.steps)
-    results = evaluate(state.model, suite)
-    recovery = _alias_recovery(state.model.projections, suite.alias_map) if mode == "full" else (0, 0)
-    if checkpoint is not None:
-        save_checkpoint(state, checkpoint)
-    return [results[d].top1 for d in range(NUM_DATASETS)], recovery
-
-
-def _one_thread_pool():
-    """Run every op of a matrix worker on its own thread: the workers already fill the CPUs."""
-    T.MAX_WORKERS = 1
-
-
 @pytest.fixture(scope="module")
 def ablation_matrix(tmp_path_factory):
-    """Train every constrained mode on three seeds at the default scale.
+    """Train every constrained mode on three seeds at the default configuration.
 
-    The runs are independent, so they are spread over one forked process per
-    CPU, at most two.  A pool's thread count does not change the trained
-    bits, nor does the process a run is trained in.
+    Returns each run's top-1 per dataset, the suite, and the trained
+    full-mode states, loaded from their final checkpoints.
     """
-    checkpoint = tmp_path_factory.mktemp("matrix") / "full_seed1.mttn"
+    cfg = RunConfig.defaults()
+    suite = cfg.suite()
+    root = tmp_path_factory.mktemp("matrix")
     cells = [(mode, seed) for mode in MODES for seed in SEEDS]
-    saves = [checkpoint if cell == ("full", SEEDS[0]) else None for cell in cells]
-    jobs = min(2, T._cpu_count()) if hasattr(os, "fork") else 1
-    if jobs > 1:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(jobs, mp_context=context, initializer=_one_thread_pool) as pool:
-            done = list(pool.map(_train_cell, cells, saves))
-    else:
-        done = list(map(_train_cell, cells, saves))
-    suite = _matrix_suite()
-    config = TrainConfig(mode="full", seed=SEEDS[0])
+    runs = [(cfg.for_run(mode, seed).train_state(suite), root / f"{mode}_seed{seed}") for mode, seed in cells]
+    for _, out in runs:
+        out.mkdir()
+    results = run_matrix(runs, **cfg.run_settings())
+    checkpoint = f"checkpoint_{cfg.get('train', 'steps')}.mttn"
+    full = {
+        seed: load_checkpoint(cfg.for_run("full", seed).train_state(suite), root / f"full_seed{seed}" / checkpoint)
+        for seed in SEEDS
+    }
     return {
         "suite": suite,
-        "acc": {cell: top1 for cell, (top1, _) in zip(cells, done)},
-        "recovery": (sum(hits for _, (hits, _) in done), sum(total for _, (_, total) in done)),
-        "full_state": load_checkpoint(TrainState.create(BackboneConfig(), suite, config), checkpoint),
+        "acc": {cell: [r[d].top1 for d in range(NUM_DATASETS)] for cell, r in zip(cells, results)},
+        "full_states": full,
     }
 
 
@@ -295,7 +247,12 @@ def test_c06_full_mode_beats_ablations(ablation_matrix):
 
 @pytest.mark.slow
 def test_c07_projection_recovers_alias_map(ablation_matrix):
-    hits, total = ablation_matrix["recovery"]
+    alias_map = ablation_matrix["suite"].alias_map
+    counts = [
+        L.alias_agreement(state.model.projections, alias_map, state.model.projections.pairs())
+        for state in ablation_matrix["full_states"].values()
+    ]
+    hits, total = (sum(column) for column in zip(*counts))
     ok = hits / total >= 0.80
     detail = f"argmax matches generator alias on {hits}/{total} mapped classes"
     assert _verdict(7, "alias recovery", ok, detail), detail
@@ -306,7 +263,7 @@ def test_c07_projection_recovers_alias_map(ablation_matrix):
 
 @pytest.mark.slow
 def test_c08_projection_bank_free_at_inference(ablation_matrix):
-    state = ablation_matrix["full_state"]
+    state = ablation_matrix["full_states"][SEEDS[0]]
     suite = ablation_matrix["suite"]
     model = state.model
     saved = [p.data.copy() for _, p in model.projections.named_parameters()]

@@ -1,20 +1,20 @@
 """Config schema and CLI behavior tests, kept fast with a tiny model."""
 import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from cotrain import cli
 from cotrain import libc as libc_module
-from cotrain import trainer
+from cotrain import tensor, trainer
 from cotrain.backbone import BackboneConfig
 from cotrain.cli import main
 from cotrain.config import _PARSERS, SCHEMA, RunConfig, write_resolved
+from cotrain.data import generate_synthetic_suite
 from cotrain.errors import ConfigError
 from cotrain.tensor_io import load_arrays, save_arrays
-
-from test_acceptance import _matrix_suite
 
 TINY_INI = """\
 [backbone]
@@ -135,12 +135,16 @@ class TestRunConfig:
                 assert cfg.get(section, key) == SCHEMA[section][key][1]
 
     def test_defaults_are_what_the_gate_trains(self):
-        """The schema reads its backbone, loss and train defaults from the dataclasses; the suite's must match the gate's."""
+        """The schema reads its backbone, loss and train defaults from the dataclasses.
+
+        The gate trains the default config, so its suite is pinned here: 3
+        datasets of 4 classes, 200 train and 100 test clips each.
+        """
         cfg = RunConfig.defaults()
         assert cfg.backbone_config() == BackboneConfig()
         assert cfg.train_config() == trainer.TrainConfig()
         assert cfg.loss_config() == trainer.LossConfig()
-        suite, gate = cfg.suite(), _matrix_suite()
+        suite, gate = cfg.suite(), generate_synthetic_suite(7, 3, [4] * 3, [200] * 3, [100] * 3)
         assert suite.specs == gate.specs
         assert suite.assignment == gate.assignment
 
@@ -230,10 +234,10 @@ class TestRunConfig:
 
     def test_train_config_mode_wiring(self, tiny_ini):
         cfg = RunConfig.load(tiny_ini)
-        assert cfg.train_config("vanilla").mode == "vanilla"
+        assert cfg.for_run("vanilla", 1).train_config().mode == "vanilla"
         assert cfg.train_config().mode == "full"
         with pytest.raises(ConfigError, match="train.mode"):
-            cfg.train_config("bare")
+            cfg.for_run("bare", 1).train_config()
 
     def test_write_resolved(self, tmp_path):
         cfg = RunConfig.load(None)
@@ -611,12 +615,36 @@ class TestRunBytes:
         assert main(["train", "--config", tiny_ini, "--out", str(out), *settings]) == 0
         self._check(out, TRAIN_DIGESTS, {f"checkpoint_{step}.mttn.json": step for step in (2, 4, 6)})
 
-    def test_ablate_writes_the_recorded_bytes(self, tiny_ini, tmp_path):
+    @pytest.mark.usefixtures("use_pool")  # gives the module back its pool after the patched CPU count
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_ablate_writes_the_recorded_bytes(self, tiny_ini, tmp_path, monkeypatch, processes):
+        """The same bytes whether ``run_matrix`` trains the runs here or in forked processes."""
+        monkeypatch.setattr(tensor, "_cpu_count", lambda: processes)
         out = tmp_path / "abl"
         assert main(["ablate", "--config", tiny_ini, "--out", str(out), "--seeds", "1"]) == 0
         runs = {name.split("/")[0] for name in ABLATE_DIGESTS if "/" in name}
         configs = ["resolved_config.cfg", *(f"{run}/resolved_config.cfg" for run in runs)]
         self._check(out, ABLATE_DIGESTS, {f"{run}/checkpoint_6.mttn.json": 6 for run in runs}, configs)
+
+
+class TestCliNumericFailure:
+    @pytest.mark.usefixtures("use_pool")  # gives the module back its pool after the patched CPU count
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--seeds", "1,2"]], ids=["train", "ablate"])
+    def test_a_nan_loss_exits_three_with_one_line(self, tiny_ini, tmp_path, monkeypatch, capfd, command):
+        """NaN clips make the first step's loss NaN; ``ablate``'s forked workers inherit the patch."""
+        sample = trainer.sample_mixed_batch
+
+        def nan_batch(*args):
+            batch = sample(*args)
+            batch.clips = np.full_like(batch.clips, np.nan)
+            return batch
+
+        monkeypatch.setattr(trainer, "sample_mixed_batch", nan_batch)
+        monkeypatch.setattr(tensor, "_cpu_count", lambda: 2)
+        assert main([*command, "--config", tiny_ini, "--out", str(tmp_path / "out")]) == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ")
+        assert multiprocessing.active_children() == []
 
 
 class TestCliDumpDataset:

@@ -239,7 +239,7 @@ def test_every_mode_keeps_its_trained_bits(mode):
         clip_shape=TINY_SHAPE,
     )
     cfg = RunConfig.load(None, ["train.steps=8", "train.batch_size=4", "train.warmup_steps=2"])
-    state = TrainState.create(tiny_backbone(), suite, cfg.train_config(mode=mode))
+    state = TrainState.create(tiny_backbone(), suite, cfg.for_run(mode, 1).train_config())
     reports = train_steps(state, 3)
     assert any(0 in r.counts.values() for r in reports)  # some batch misses a dataset
     params = hashlib.sha256()
