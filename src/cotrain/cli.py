@@ -13,7 +13,9 @@ leaves no run directory.  The run itself (steps, evaluations, checkpoints) is
 ``ablate`` add the argument handling and the report.  ``eval`` and
 ``inspect-projections`` take the config of the checkpoint's run: ``--config``
 if given, else the ``resolved_config.cfg`` the run wrote beside it, else the
-defaults; then ``--set`` and ``--seed``.
+defaults; then ``--set``.  A command takes only the flags it reads: ``--seed``
+is ``train``'s, and ``--out`` and ``--force`` belong to the commands that
+write a run directory (``train``, ``ablate``, ``dump-dataset``).
 
 Run directories are append-only: a second run aimed at a non-empty directory
 is refused unless ``--force`` is given, which clears it first.
@@ -65,12 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override one config value (repeatable)",
         )
-        p.add_argument("--seed", type=int, help="shorthand for --set train.seed=N")
+
+    def writes_run_dir(p):
         p.add_argument("--out", default=None, help="run directory")
         p.add_argument("--force", action="store_true", help="clear an existing run directory")
 
     p_train = sub.add_parser("train", help="train one model and write metrics, checkpoints, report")
     common(p_train)
+    p_train.add_argument("--seed", type=int, help="shorthand for --set train.seed=N")
+    writes_run_dir(p_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     common(p_eval)
@@ -80,8 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--threshold-scale", type=float, default=1.0,
                         help="multiply every tolerance (diagnostics only)")
 
-    p_abl = sub.add_parser("ablate", help="run every mode over shared seeds and tabulate accuracy")
+    # Without abbreviations, so ``--seed`` is refused rather than read as ``--seeds``.
+    p_abl = sub.add_parser("ablate", help="run every mode over shared seeds and tabulate accuracy", allow_abbrev=False)
     common(p_abl)
+    writes_run_dir(p_abl)
     p_abl.add_argument("--seeds", default="1,2,3", help="comma-separated training seeds")
 
     p_insp = sub.add_parser("inspect-projections", help="print the strongest cross-dataset projection pairs")
@@ -93,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dump = sub.add_parser("dump-dataset", help="write suite clips and a JSON index")
     common(p_dump)
+    writes_run_dir(p_dump)
     p_dump.add_argument("--split", choices=("train", "test"), default="train")
     p_dump.add_argument("--limit", type=int, default=0, help="clips per dataset (0 = whole split)")
 
@@ -100,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, path: Optional[str] = None) -> RunConfig:
-    """``path`` (default ``--config``), then ``--set`` and ``--seed``."""
+    """``path`` (default ``--config``), then ``--set`` and, for ``train``, ``--seed``."""
     overrides = list(args.overrides)
     if getattr(args, "seed", None) is not None:
         overrides.append(f"train.seed={args.seed}")

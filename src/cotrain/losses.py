@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class HeadBank(Module):
 
     def __init__(self, dim: int, class_counts: Sequence[int], rng: Rng):
         self.heads = [Linear(dim, c, rng) for c in class_counts]
-        self.class_counts = tuple(class_counts)
 
     def _children(self):
         for k, head in enumerate(self.heads):
@@ -154,30 +153,32 @@ def project_logits(k: int, logits: Mapping[int, Tensor], bank: ProjectionBank) -
     missing = [i for i in range(len(bank.class_counts)) if i not in logits]
     if missing:
         raise ContractError(f"project_logits for dataset {k} missing head outputs {missing}")
-    out = logits[k]
-    for i in sorted(logits):
-        if i == k:
-            continue
-        w = bank.pair(i, k)
-        out = out + logits[i] @ w.transpose(1, 0)
-    return out
+    return _projected_sum(k, logits, bank, logits[k])
 
 
 def projection_only_logits(k: int, logits: Mapping[int, Tensor], bank: ProjectionBank) -> Tensor:
     """The cross-dataset projection sum alone, without the own-head term."""
-    out = None
-    for i in sorted(logits):
-        if i == k:
-            continue
-        term = logits[i] @ bank.pair(i, k).transpose(1, 0)
-        out = term if out is None else out + term
+    out = _projected_sum(k, logits, bank, None)
     if out is None:
         raise ContractError("projection-only logits need at least two datasets")
     return out
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Optional[Tensor]:
-    """Mean negative log-likelihood; returns None for an empty batch."""
+def _projected_sum(
+    k: int, logits: Mapping[int, Tensor], bank: ProjectionBank, start: Optional[Tensor]
+) -> Optional[Tensor]:
+    """``start`` plus each other head's logits mapped into ``k``, added by dataset id; ``None`` if empty."""
+    out = start
+    for i in sorted(logits):
+        if i == k:
+            continue
+        term = logits[i] @ bank.pair(i, k).transpose(1, 0)
+        out = term if out is None else out + term
+    return out
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood over a non-empty batch."""
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ContractError(f"cross_entropy expects (B, C) logits, got {logits.shape}")
@@ -185,8 +186,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Optional[Tensor]:
     if labels.shape != (b,):
         raise LabelError(f"labels shape {labels.shape} does not match batch {b}")
     if b == 0:
-        return None
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise BatchSizeError("cross_entropy needs at least one row")
+    if labels.min() < 0 or labels.max() >= c:
         raise LabelError(
             f"labels must lie in [0, {c}), got range [{labels.min()}, {labels.max()}]"
         )
@@ -208,20 +209,25 @@ class SigmaParams(Module):
     def sigma(self) -> Tensor:
         return T.exp(self.log_sigma)
 
-    def values(self) -> np.ndarray:
-        return np.exp(self.log_sigma.data)
+
+def _ordered_sum(terms: Iterable[Tensor]) -> Tensor:
+    """The terms added left to right; a generator's terms are built as the sum reaches each one."""
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    if total is None:
+        raise ContractError("a loss sum needs at least one dataset loss")
+    return total
 
 
 def uncertainty_weighted_sum(per_dataset: Mapping[int, Tensor], sigma: Tensor) -> Tensor:
-    """``sum_k L_k / (2 sigma_k^2) + ln sigma_k`` over the datasets present."""
-    if not per_dataset:
-        raise ContractError("uncertainty_weighted_sum needs at least one dataset loss")
-    total = None
-    for k in sorted(per_dataset):
+    """``sum_k L_k / (2 sigma_k^2) + ln sigma_k`` over the datasets present, by dataset id."""
+
+    def term(k):
         sk = T.gather_rows(sigma, np.array([k]))
-        term = per_dataset[k] / (2.0 * sk * sk) + T.log(sk)
-        total = term if total is None else total + term
-    return total.sum()
+        return per_dataset[k] / (2.0 * sk * sk) + T.log(sk)
+
+    return _ordered_sum(map(term, sorted(per_dataset))).sum()
 
 
 @dataclass
@@ -259,19 +265,13 @@ def total_loss(
     no gradient this step).  With ``sigma_params=None`` the branch losses are
     summed unweighted, which is the vanilla multi-head baseline.
     """
-    per_dataset = {k: v for k, v in per_dataset.items() if v is not None}
-    if not per_dataset:
-        raise ContractError("total_loss needs at least one non-empty dataset")
     if sigma_params is None:
-        total = None
-        for k in sorted(per_dataset):
-            total = per_dataset[k] if total is None else total + per_dataset[k]
+        total = _ordered_sum(per_dataset[k] for k in sorted(per_dataset))
         sigmas = None
     else:
         sigma = sigma_params.sigma()
         total = uncertainty_weighted_sum(per_dataset, sigma)
-        vals = sigma_params.values()
-        sigmas = {k: float(vals[k]) for k in sorted(per_dataset)}
+        sigmas = {k: float(sigma.data[k]) for k in sorted(per_dataset)}
     if variance is not None:
         total = total + variance
     if covariance is not None:

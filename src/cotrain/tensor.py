@@ -87,9 +87,9 @@ code (``_spread``): the caller and the helpers each claim the next unclaimed
 piece until none is left, and an error raised in any piece is re-raised in
 the caller.
 
-* Row blocks of one op.  The heavy kernels (gelu, softmax and log_softmax,
-  attention's in-place scale and softmax, layer_norm, stacked matmul, elementwise arithmetic and gradient sums,
-  conv3d's im2col/col2im copies) split when their largest array holds at
+* Row blocks of one op.  The heavy kernels (gelu, attention's in-place scale
+  and softmax, layer_norm, stacked matmul, elementwise arithmetic and gradient
+  sums, conv3d's im2col/col2im copies) split when their largest array holds at
   least ``SPLIT_SIZE`` elements: the leading-axis rows are cut into one
   contiguous block per worker.  Smaller ops run their kernel once over the
   whole array, in the caller.  No split crosses a reduced axis or changes the
@@ -146,10 +146,6 @@ DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _grad_enabled = True
-
-
-def is_grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class no_grad:
@@ -419,17 +415,12 @@ def _result_dtype(x: np.ndarray, y: np.ndarray) -> np.dtype:
     return x.dtype if x.dtype == y.dtype else np.result_type(x, y)
 
 
-def _binary(op: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``op(x, y)`` for an arithmetic ufunc, one call per block of output rows when large.
+def _by_leading_rows(op, x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``op(x, y)`` with output ``shape``, one call per block of the output's leading rows.
 
-    An operand without the output's leading axis (a bias, a scalar) goes whole
-    to every block.  Below ``SPLIT_SIZE`` the call is ``op(x, y)`` itself: this
-    runs several hundred times a step on small arrays, where a closure and two
-    more calls cost about 2 us a call on a 2-core Xeon VM.
+    An operand without the output's leading axis (a bias, a scalar, a
+    broadcast batch) goes whole to every block.
     """
-    if (x.size < SPLIT_SIZE and y.size < SPLIT_SIZE) or not (x.flags.c_contiguous and y.flags.c_contiguous):
-        return op(x, y)
-    shape = np.broadcast_shapes(x.shape, y.shape)
     rows = shape[0]
     sx = x.ndim == len(shape) and x.shape[0] == rows
     sy = y.ndim == len(shape) and y.shape[0] == rows
@@ -438,6 +429,18 @@ def _binary(op: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return op(x[r] if sx else x, y[r] if sy else y, out)
 
     return _split(chunk, rows, [(shape, _result_dtype(x, y))])
+
+
+def _binary(op: np.ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``op(x, y)`` for an arithmetic ufunc, split by :func:`_by_leading_rows` when large.
+
+    Below ``SPLIT_SIZE`` the call is ``op(x, y)`` itself: this runs several
+    hundred times a step on small arrays, where a closure and two more calls
+    cost about 2 us a call on a 2-core Xeon VM.
+    """
+    if (x.size < SPLIT_SIZE and y.size < SPLIT_SIZE) or not (x.flags.c_contiguous and y.flags.c_contiguous):
+        return op(x, y)
+    return _by_leading_rows(op, x, y, np.broadcast_shapes(x.shape, y.shape))
 
 
 def _c_ordered_batch(arr: np.ndarray) -> bool:
@@ -460,15 +463,7 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         m, n = x.shape[-2], y.shape[-1]
         size = max(x.size, y.size, x.size // max(x.shape[-1], 1) * n, y.size // max(y.shape[-2], 1) * m)
         if size >= SPLIT_SIZE and _c_ordered_batch(x) and _c_ordered_batch(y):
-            shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (m, n)
-            rows = shape[0]
-            sx = x.ndim == len(shape) and x.shape[0] == rows
-            sy = y.ndim == len(shape) and y.shape[0] == rows
-
-            def chunk(r, out=None):
-                return np.matmul(x[r] if sx else x, y[r] if sy else y, out)
-
-            return _split(chunk, rows, [(shape, _result_dtype(x, y))])
+            return _by_leading_rows(np.matmul, x, y, np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (m, n))
     return np.matmul(x, y)
 
 
@@ -556,9 +551,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
@@ -611,18 +603,6 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         return transpose(self, axes)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def relu(self):
-        return relu(self)
 
     # -- reverse sweep ------------------------------------------------------
 
@@ -1121,38 +1101,21 @@ def _softmax_grad_rows(g: np.ndarray, p: np.ndarray, axis: int, out: Optional[np
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
-
-    def forward(r, out=None):
-        return _softmax_rows(x[r], axis, out)
-
-    data = _rowwise(forward, [(x.shape, x.dtype)], x, axis=axis)
+    data = _softmax_rows(x, axis)
 
     def backward(g):
-        def chunk(r, ga=None):
-            return _softmax_grad_rows(g[r], data[r], axis, ga)
-
-        return (_rowwise(chunk, [(data.shape, _result_dtype(g, data))], g, data, axis=axis),)
+        return (_softmax_grad_rows(g, data, axis),)
 
     return _from_op(data, (a,), backward, "softmax", 5 * x.size)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
-
-    def forward(r, out=None):
-        xr = x[r]
-        shifted = xr - np.maximum.reduce(xr, axis, None, None, True)
-        lse = np.log(np.add.reduce(np.exp(shifted), axis, None, None, True))
-        return np.subtract(shifted, lse, out=out)
-
-    data = _rowwise(forward, [(x.shape, x.dtype)], x, axis=axis)
+    shifted = x - np.maximum.reduce(x, axis, None, None, True)
+    data = shifted - np.log(np.add.reduce(np.exp(shifted), axis, None, None, True))
 
     def backward(g):
-        def chunk(r, ga=None):
-            gr = g[r]
-            return np.subtract(gr, np.exp(data[r]) * np.add.reduce(gr, axis, None, None, True), out=ga)
-
-        return (_rowwise(chunk, [(data.shape, _result_dtype(g, data))], g, data, axis=axis),)
+        return (g - np.exp(data) * np.add.reduce(g, axis, None, None, True),)
 
     return _from_op(data, (a,), backward, "log_softmax", 5 * x.size)
 

@@ -92,6 +92,11 @@ class TrainConfig:
             raise ConfigError(
                 f"warmup_steps must lie in [0, steps), got {self.warmup_steps} of {self.steps}"
             )
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= beta < 1:
+                raise ConfigError(f"train.{name} must lie in [0, 1), got {beta}")
+        if self.grad_clip < 0:
+            raise ConfigError(f"train.grad_clip must be >= 0 (0 turns clipping off), got {self.grad_clip}")
 
 
 @dataclass(frozen=True)

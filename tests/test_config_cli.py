@@ -113,6 +113,13 @@ REFUSED_SETTINGS = {
     ),
     "ablate-steps": (["ablate", "--seeds", "1", "--set", "train.steps=2"], "warmup_steps must lie in [0, steps), got 2 of 2"),
     "ablate-repeated-seed": (["ablate", "--seeds", "1,1"], "--seeds names seed 1 more than once"),
+    "train-beta1": (["train", "--set", "train.beta1=-0.1"], "train.beta1 must lie in [0, 1), got -0.1"),
+    "train-beta2": (["train", "--set", "train.beta2=1.0"], "train.beta2 must lie in [0, 1), got 1.0"),
+    "train-grad-clip": (
+        ["train", "--set", "train.grad_clip=-1"],
+        "train.grad_clip must be >= 0 (0 turns clipping off), got -1.0",
+    ),
+    "ablate-beta2": (["ablate", "--seeds", "1", "--set", "train.beta2=1.5"], "train.beta2 must lie in [0, 1), got 1.5"),
     "dump-classes": (
         ["dump-dataset", "--set", "datasets.classes=4,4,4"],
         "datasets.classes needs 1 or 2 comma-separated values, got 3",
@@ -256,6 +263,29 @@ class TestCliUsage:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--steps", "5"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["eval", "--checkpoint", "c.mttn", "--out", "OUT"], "--out OUT"),
+            (["eval", "--checkpoint", "c.mttn", "--seed", "3"], "--seed 3"),
+            (["inspect-projections", "--checkpoint", "c.mttn", "--force", "--out", "OUT"], "--force --out OUT"),
+            (["ablate", "--seeds", "1", "--seed", "3", "--out", "OUT"], "--seed 3"),
+            (["dump-dataset", "--seed", "3", "--out", "OUT"], "--seed 3"),
+        ],
+        ids=["eval-out", "eval-seed", "inspect-force", "ablate-seed", "dump-seed"],
+    )
+    def test_a_flag_the_command_does_not_read_exits_one(self, tmp_path, monkeypatch, capsys, argv, refused):
+        """argparse's usage line and error, exit 1, and no --out path or default run directory."""
+        monkeypatch.chdir(tmp_path)
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([out if arg == "OUT" else arg for arg in argv])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: cotrain ")
+        assert err[-1] == f"cotrain: error: unrecognized arguments: {refused.replace('OUT', out)}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_error_returns_one(self, tmp_path):
         code = main(["train", "--config", "missing.cfg", "--out", str(tmp_path / "r")])

@@ -89,8 +89,9 @@ class TestCrossEntropy:
         )
         npt.assert_allclose(float(both.data), (a + b) / 2.0, atol=1e-12)
 
-    def test_empty_batch_returns_none(self):
-        assert L.cross_entropy(t64(np.zeros((0, 3))), np.zeros(0, dtype=int)) is None
+    def test_empty_batch_is_refused(self):
+        with pytest.raises(BatchSizeError):
+            L.cross_entropy(t64(np.zeros((0, 3))), np.zeros(0, dtype=int))
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelError):
@@ -220,7 +221,7 @@ class TestUncertaintyWeighting:
 
     def test_needs_at_least_one_branch(self):
         with pytest.raises(ContractError):
-            L.total_loss(None, None, {0: None}, None)
+            L.total_loss(None, None, {}, None)
 
     def test_nonpositive_sigma_init_rejected(self):
         with pytest.raises(ConfigError):
